@@ -23,8 +23,7 @@ let preamble ~pal_lo ~pal_hi =
     Prog.Jgt (pal_hi - 1, 0, 1);
     Prog.Ret Prog.Trap ]
 
-let graphene_filter ~pal_lo ~pal_hi =
-  if pal_hi <= pal_lo then invalid_arg "Seccomp.graphene_filter: empty PAL region";
+let build_graphene_filter ~pal_lo ~pal_hi =
   let tests =
     List.concat_map
       (fun name ->
@@ -34,6 +33,19 @@ let graphene_filter ~pal_lo ~pal_hi =
       allowed
   in
   Prog.assemble (preamble ~pal_lo ~pal_hi @ [ Prog.Ld_nr ] @ tests @ [ Prog.Ret Prog.Kill ])
+
+(* Every picoprocess installs the filter for the same PAL region, and a
+   program is immutable, so one assembled copy per region is shared. *)
+let graphene_filters : (int * int, Prog.t) Hashtbl.t = Hashtbl.create 1
+
+let graphene_filter ~pal_lo ~pal_hi =
+  if pal_hi <= pal_lo then invalid_arg "Seccomp.graphene_filter: empty PAL region";
+  match Hashtbl.find_opt graphene_filters (pal_lo, pal_hi) with
+  | Some prog -> prog
+  | None ->
+    let prog = build_graphene_filter ~pal_lo ~pal_hi in
+    Hashtbl.add graphene_filters (pal_lo, pal_hi) prog;
+    prog
 
 (* The monitor needs far fewer calls: it reads manifests, answers
    upcalls over a pipe, and loads LSM policy. *)

@@ -23,7 +23,8 @@ val internal_only : string list
 
 val graphene_filter : pal_lo:int -> pal_hi:int -> Prog.t
 (** Filter for an application picoprocess whose PAL code occupies
-    [\[pal_lo, pal_hi)]. *)
+    [\[pal_lo, pal_hi)]. Assembled once per region and shared: a
+    program is immutable. *)
 
 val monitor_filter : unit -> Prog.t
 (** The reduced filter the reference monitor runs itself under ("to

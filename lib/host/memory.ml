@@ -4,7 +4,13 @@
     fork share frames, and the first write to a shared frame copies it
     (charging {!Graphene_sim.Cost.cow_fault} — done by the caller).
     Resident-set and proportional-set sizes drive the Figure 4 memory
-    footprint experiment. *)
+    footprint experiment.
+
+    Payloads are demand-zero: a frame's bytes start as the shared empty
+    [zero_payload], meaning "all zeros", and a real page is allocated
+    only on the first [write_bytes] into it. Accounting counts frames,
+    never payloads, so this saves host memory without moving a virtual
+    number. *)
 
 let page_size = Graphene_sim.Cost.page_size
 
@@ -22,7 +28,13 @@ type kind =
   | Mmap
   | Stack
 
-type frame = { fid : int; mutable refcount : int; data : bytes }
+type frame = { fid : int; mutable refcount : int; mutable data : bytes }
+
+(* The "all zeros" payload, compared by physical equality. *)
+let zero_payload = Bytes.empty
+
+(* Source for reads of unmaterialised frames; never written. *)
+let zero_page = Bytes.make page_size '\000'
 
 type region = {
   base : int;
@@ -52,7 +64,7 @@ let pages_of_bytes n = (n + page_size - 1) / page_size
 let new_frame alloc =
   alloc.next_fid <- alloc.next_fid + 1;
   alloc.live_frames <- alloc.live_frames + 1;
-  { fid = alloc.next_fid; refcount = 1; data = Bytes.make page_size '\000' }
+  { fid = alloc.next_fid; refcount = 1; data = zero_payload }
 
 let drop_frame alloc frame =
   frame.refcount <- frame.refcount - 1;
@@ -94,13 +106,11 @@ let region_at t addr =
 
 type touch_result = Resident | Faulted_in | Cow_copied
 
-(* Make the page containing [addr] resident; on a write to a shared
-   frame, break the share with a private copy. *)
-let touch t addr ~write =
-  let r = region_at t addr in
+(* Make page [idx] of [r] (the page holding [addr]) resident; on a
+   write to a shared frame, break the share with a private copy. *)
+let touch_in t r idx addr ~write =
   if write && not r.perm.w then raise (Fault addr);
   if (not write) && not r.perm.r then raise (Fault addr);
-  let idx = (addr - r.base) / page_size in
   match r.frames.(idx) with
   | None ->
     r.frames.(idx) <- Some (new_frame t.alloc);
@@ -108,13 +118,24 @@ let touch t addr ~write =
   | Some frame ->
     if write && frame.refcount > 1 then begin
       let copy = new_frame t.alloc in
-      Bytes.blit frame.data 0 copy.data 0 page_size;
+      if frame.data != zero_payload then copy.data <- Bytes.copy frame.data;
       drop_frame t.alloc frame;
       r.frames.(idx) <- Some copy;
       t.cow_faults <- t.cow_faults + 1;
       Cow_copied
     end
     else Resident
+
+let touch t addr ~write =
+  let r = region_at t addr in
+  touch_in t r ((addr - r.base) / page_size) addr ~write
+
+(* Fault in the page holding [addr] and return its frame. *)
+let touched_frame t addr ~write =
+  let r = region_at t addr in
+  let idx = (addr - r.base) / page_size in
+  ignore (touch_in t r idx addr ~write);
+  match r.frames.(idx) with Some f -> f | None -> assert false
 
 (* Is the page containing [addr] resident, without faulting it in? *)
 let resident t addr =
@@ -123,43 +144,51 @@ let resident t addr =
   | Some r -> r.frames.((addr - r.base) / page_size) <> None
 
 (* Byte-granularity access spanning pages; returns the number of COW
-   copies performed so the caller can charge fault costs. *)
+   copies performed so the caller can charge fault costs. The first
+   write into a frame materialises its payload. *)
 let write_bytes t addr s =
   let n = String.length s in
-  let cow = ref 0 in
+  let cow_before = t.cow_faults in
   let rec loop off =
     if off < n then begin
       let a = addr + off in
-      (match touch t a ~write:true with Cow_copied -> incr cow | _ -> ());
-      let r = region_at t a in
-      let idx = (a - r.base) / page_size in
-      let frame = match r.frames.(idx) with Some f -> f | None -> assert false in
+      let frame = touched_frame t a ~write:true in
       let page_off = a mod page_size in
       let take = Stdlib.min (n - off) (page_size - page_off) in
+      if frame.data == zero_payload then frame.data <- Bytes.make page_size '\000';
       Bytes.blit_string s off frame.data page_off take;
       loop (off + take)
     end
   in
   loop 0;
-  !cow
+  t.cow_faults - cow_before
 
 let read_bytes t addr n =
-  let buf = Buffer.create n in
+  let buf = Bytes.create (Stdlib.max n 0) in
   let rec loop off =
     if off < n then begin
       let a = addr + off in
-      ignore (touch t a ~write:false);
-      let r = region_at t a in
-      let idx = (a - r.base) / page_size in
-      let frame = match r.frames.(idx) with Some f -> f | None -> assert false in
+      let frame = touched_frame t a ~write:false in
       let page_off = a mod page_size in
       let take = Stdlib.min (n - off) (page_size - page_off) in
-      Buffer.add_subbytes buf frame.data page_off take;
+      let src = if frame.data == zero_payload then zero_page else frame.data in
+      Bytes.blit src page_off buf off take;
       loop (off + take)
     end
   in
   loop 0;
-  Buffer.contents buf
+  Bytes.unsafe_to_string buf
+
+(* Exactly what writing a page of zeros at each page would do — the
+   same write faults and COW breaks — without materialising a payload:
+   each page ends private and demand-zero. *)
+let zero_pages t ~base ~npages =
+  if base mod page_size <> 0 then invalid_arg "Memory.zero_pages: unaligned base";
+  let cow_before = t.cow_faults in
+  for i = 0 to npages - 1 do
+    (touched_frame t (base + (i * page_size)) ~write:true).data <- zero_payload
+  done;
+  t.cow_faults - cow_before
 
 let protect t ~base ~npages ~perm =
   match find_region t base with
@@ -216,6 +245,7 @@ let share_all ~src ~dst =
 
 type image = { img_frames : frame array }
 
+(* Image frames stay demand-zero: nothing writes into text pages. *)
 let make_image alloc ~bytes =
   let n = pages_of_bytes bytes in
   { img_frames = Array.init n (fun _ -> new_frame alloc) }

@@ -4,7 +4,13 @@
     IPC share them, and the first write to a shared frame copies it
     privately. Code images (PAL, libOS, binaries) are shared through an
     image registry, like page-cache text. Resident-set and
-    proportional-set accounting drive the Figure 4 experiment. *)
+    proportional-set accounting drive the Figure 4 experiment.
+
+    Frame payloads are demand-zero. A frame starts with no bytes behind
+    it, which reads as a page of zeros; the first {!write_bytes} into a
+    frame allocates its 4 KiB payload, and a COW break copies only a
+    payload that exists. Every accounting function counts frames, not
+    payloads, so the representation never shows in a reported number. *)
 
 val page_size : int
 
@@ -64,6 +70,17 @@ val write_bytes : t -> int -> string -> int
     {!Graphene_sim.Cost.cow_fault} per copy. *)
 
 val read_bytes : t -> int -> int -> string
+(** Faults each page in for reading; a frame never written reads as
+    zeros. *)
+
+val zero_pages : t -> base:int -> npages:int -> int
+(** [zero_pages t ~base ~npages] has exactly the effect of writing a
+    page of zeros at each of the [npages] pages from the page-aligned
+    [base]: the same write fault or COW break per page, the same frame
+    accounting, the same COW count returned. Each page is left private
+    with a demand-zero payload, so nothing is allocated for its bytes.
+    This is how a restored child dirties its private libOS data and
+    stack (§6.2). *)
 
 (** {1 Sharing (fork, bulk IPC)} *)
 
@@ -80,6 +97,8 @@ val share_all : src:t -> dst:t -> int
 type image
 
 val make_image : allocator -> bytes:int -> image
+(** Resident, demand-zero frames covering [bytes]. *)
+
 val image_bytes : image -> int
 val map_image : t -> base:int -> image:image -> perm:perm -> kind:kind -> region
 

@@ -332,19 +332,21 @@ let next_seq t =
 
 (* {1 Sending} *)
 
+(* GRAPHENE_IPC_DEBUG traces every message to stderr; read once. *)
+let debug = Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None
+
 (* Marshal + host write; the kernel adds the stream's one-way latency.
    Every message sent here is coordination traffic, so it opts into the
    active fault plan. *)
 let send_env ?(ctx = 0) t ep env =
   let data = Wire.encode ~ctx env in
-  let dbg = Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None in
-  if dbg then Printf.eprintf "[ipc %s] sending %s ep=%d t=%d\n%!" t.my_addr (Wire.describe env) ep.Stream.id (K.now (kernel t));
+  if debug then Printf.eprintf "[ipc %s] sending %s ep=%d t=%d\n%!" t.my_addr (Wire.describe env) ep.Stream.id (K.now (kernel t));
   (* marshal + write cost delays delivery, but the message claims its
      place in the stream order now — an exiting peer's EOF cannot
      overtake it *)
   let cost = Time.add (Time.us 0.8) (Time.add Cost.host_write_base (Cost.copy_cost (String.length data))) in
   (try K.stream_send ~extra:cost ~faultable:true (kernel t) ep data
-   with K.Denied e -> if dbg then Printf.eprintf "[ipc %s] send failed %s\n%!" t.my_addr e)
+   with K.Denied e -> if debug then Printf.eprintf "[ipc %s] send failed %s\n%!" t.my_addr e)
 
 let respond t ep reqid resp = send_env t ep (Wire.Resp (reqid, resp))
 
@@ -404,7 +406,7 @@ let leader_reap_peer t addr =
 let rec pump ?addr t ep =
   K.stream_recv_msg (kernel t) ep (function
     | None ->
-      if Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None then
+      if debug then
         Printf.eprintf "[ipc %s] pump EOF ep=%d closed=%b t=%d\n%!" t.my_addr ep.Stream.id
           (Stream.is_closed ep) (K.now (kernel t));
       (* the peer is gone: drop the cached stream and fail every
@@ -470,7 +472,7 @@ let rec pump ?addr t ep =
           pump ?addr t ep))
 
 and handle t ep env ~ctx =
-  if Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None then
+  if debug then
     Printf.eprintf "[ipc %s] handling %s t=%d shutdown=%b\n%!" t.my_addr (Wire.describe env)
       (K.now (kernel t)) t.shutdown;
   t.rpc_handled <- t.rpc_handled + 1;
@@ -560,7 +562,7 @@ and with_stream t addr k =
 and rpc t ~addr req k = rpc_attempt t ~addr ~tries:t.cfg.Config.rpc_tries req k
 
 and rpc_attempt t ~addr ~tries req k =
-  if Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None then
+  if debug then
     Printf.eprintf "[ipc %s] rpc to %s\n%!" t.my_addr addr;
   (* the leader died (or is unreachable): elect a replacement over the
      broadcast stream, then retry against whoever won *)
@@ -574,7 +576,7 @@ and rpc_attempt t ~addr ~tries req k =
       | Error _ when addr = t.leader_addr && tries > 0 && not t.shutdown ->
         retry_after_election ()
       | Error e ->
-        if Sys.getenv_opt "GRAPHENE_IPC_DEBUG" <> None then
+        if debug then
           Printf.eprintf "[ipc %s] connect to %s failed: %s\n%!" t.my_addr addr
             (Errno.to_string e);
         k (Wire.R_err e)

@@ -562,17 +562,9 @@ let callbacks_of lx =
    private regions through bulk IPC (copy-on-write); those are then
    dirtied rather than remapped, which is what makes the child's
    incremental footprint real (§6.2). *)
-let dirty_range asp ~base ~bytes =
-  let page = Memory.page_size in
-  let zeros = String.make page '\000' in
-  let npages = Memory.pages_of_bytes bytes in
-  for i = 0 to npages - 1 do
-    ignore (Memory.write_bytes asp (base + (i * page)) zeros)
-  done
-
 let map_private_unless_present asp ~base ~bytes ~kind =
   match Memory.find_region asp base with
-  | Some _ -> dirty_range asp ~base ~bytes
+  | Some _ -> ignore (Memory.zero_pages asp ~base ~npages:(Memory.pages_of_bytes bytes))
   | None ->
     ignore
       (Memory.map_resident asp ~base ~npages:(Memory.pages_of_bytes bytes) ~perm:Memory.rw
@@ -1492,7 +1484,7 @@ and do_clone lx th fname arg =
          (address space, fd table, signal handlers) *)
       let gtid = lx.pid + lx.next_tid_seq in
       lx.next_tid_seq <- lx.next_tid_seq + 1;
-      let prog = machine_program m in
+      let prog = Interp.program_of_state m in
       let tm = Interp.start { prog with Ast.main = Ast.Call (fname, [ Ast.Const arg ]) } ~argv:[] in
       Pal.thread_create lx.pal tm (function
         | Ok host_th ->
@@ -1501,16 +1493,6 @@ and do_clone lx th fname arg =
           finish lx th ~cost:(Time.us 18.) (vint gtid)
         | Error e -> fail lx th e)
     end
-
-and machine_program m =
-  (* recover the program from a machine image: serialize-free access is
-     not exposed by Interp, so thread creation reuses the program the
-     exec loaded; we keep it in the machine itself via a round-trip *)
-  let bytes = Interp.to_bytes m in
-  let m' = Interp.of_bytes bytes in
-  ignore m';
-  (* Interp exposes the program via exec below; see Interp.program *)
-  Interp.program_of_state m
 
 (* {2 fork} *)
 

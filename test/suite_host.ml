@@ -183,6 +183,100 @@ let mem_tests =
         Alcotest.check_raises "now ro" (Memory.Fault 0x1000) (fun () ->
             ignore (Memory.touch m 0x1000 ~write:true))) ]
 
+(* {2 Demand-zero payloads} *)
+
+let page = Memory.page_size
+
+let write_zero_pages m ~base ~npages =
+  let cow = ref 0 in
+  for i = 0 to npages - 1 do
+    cow := !cow + Memory.write_bytes m (base + (i * page)) (String.make page '\000')
+  done;
+  !cow
+
+(* A parent with data in two of six resident pages (two more mapped but
+   not resident), forked to a child and a sibling, then the child's
+   region dirtied twice by [dirty]: first over COW-shared frames, then
+   over its now-private ones. Returns every observable number. *)
+let dirty_observations dirty =
+  let alloc, parent = fresh_mem () in
+  let child = Memory.create alloc and sibling = Memory.create alloc in
+  let base = 0x10000 and npages = 8 in
+  ignore (Memory.map parent ~base ~npages ~perm:Memory.rw ~kind:Memory.Heap);
+  for i = 0 to 5 do
+    ignore (Memory.touch parent (base + (i * page)) ~write:true)
+  done;
+  ignore (Memory.write_bytes parent (base + page) "parent data");
+  ignore (Memory.write_bytes parent (base + (3 * page) + 100) "more");
+  ignore (Memory.share_all ~src:parent ~dst:child);
+  ignore (Memory.share_all ~src:parent ~dst:sibling);
+  let snapshot label cow =
+    let ints =
+      [ ("cow", cow); ("rss", Memory.rss child); ("pss", Memory.pss child);
+        ("parent pss", Memory.pss parent); ("resident", Memory.resident_pages child);
+        ("cow faults", Memory.cow_faults child); ("system", Memory.system_bytes alloc) ]
+    in
+    let reads =
+      List.map
+        (fun (who, m) -> (who, Memory.read_bytes m base (npages * page)))
+        [ ("child", child); ("parent", parent); ("sibling", sibling) ]
+    in
+    (label, ints, reads)
+  in
+  let first = snapshot "shared" (dirty child ~base ~npages) in
+  let second = snapshot "private" (dirty child ~base ~npages) in
+  [ first; second ]
+
+let demand_zero_tests =
+  [ case "zero_pages matches writing zero pages, shared and private" (fun () ->
+        let expect = dirty_observations write_zero_pages in
+        let got = dirty_observations Memory.zero_pages in
+        List.iter2
+          (fun (label, ints, reads) (_, ints', reads') ->
+            List.iter2
+              (fun (name, v) (_, v') -> check_int (label ^ " " ^ name) v v')
+              ints ints';
+            List.iter2
+              (fun (who, s) (_, s') -> check_bool (label ^ " read " ^ who) true (s = s'))
+              reads reads')
+          expect got;
+        (* the scenario does exercise COW breaks and fault-ins *)
+        match expect with
+        | (_, ints, _) :: _ -> check_int "cow breaks" 6 (List.assoc "cow" ints)
+        | [] -> assert false);
+    case "a COW child of a never-written page reads zeros" (fun () ->
+        let alloc, a = fresh_mem () in
+        let b = Memory.create alloc in
+        ignore (Memory.map_resident a ~base:0x1000 ~npages:1 ~perm:Memory.rw ~kind:Memory.Heap);
+        ignore (Memory.share_all ~src:a ~dst:b);
+        let zeros n = String.make n '\000' in
+        check_str "child zeros" (zeros page) (Memory.read_bytes b 0x1000 page);
+        ignore (Memory.write_bytes b 0x1010 "child");
+        check_str "parent still zeros" (zeros page) (Memory.read_bytes a 0x1000 page);
+        check_str "child sees its write" "child" (Memory.read_bytes b 0x1010 5);
+        ignore (Memory.write_bytes a 0x1020 "parent");
+        check_str "child unaffected" (zeros 6) (Memory.read_bytes b 0x1020 6);
+        check_int "zero_pages on a private page: no cow" 0
+          (Memory.zero_pages b ~base:0x1000 ~npages:1);
+        check_str "written page reads zeros again" (zeros page) (Memory.read_bytes b 0x1000 page);
+        check_str "parent keeps its write" "parent" (Memory.read_bytes a 0x1020 6));
+    case "zero_pages rejects an unaligned base" (fun () ->
+        let _, m = fresh_mem () in
+        ignore (Memory.map m ~base:0x1000 ~npages:1 ~perm:Memory.rw ~kind:Memory.Heap);
+        Alcotest.check_raises "unaligned" (Invalid_argument "Memory.zero_pages: unaligned base")
+          (fun () -> ignore (Memory.zero_pages m ~base:0x1008 ~npages:1)));
+    case "resident zero pages allocate no payloads" (fun () ->
+        let _, m = fresh_mem () in
+        let before = Gc.allocated_bytes () in
+        ignore (Memory.map_resident m ~base:0x100000 ~npages:256 ~perm:Memory.rw ~kind:Memory.Heap);
+        ignore (Memory.zero_pages m ~base:0x100000 ~npages:256);
+        let allocated = Gc.allocated_bytes () -. before in
+        check_int "resident" 256 (Memory.resident_pages m);
+        check_bool
+          (Printf.sprintf "%.0f bytes allocated < 16 pages" allocated)
+          true
+          (allocated < float_of_int (16 * page))) ]
+
 (* COW invariant: after sharing and arbitrary writes on both sides,
    each side reads back exactly what it last wrote. *)
 let cow_prop =
@@ -482,6 +576,6 @@ let ordering_tests =
 let suite =
   ordering_tests @ vfs_tests
   @ [ QCheck_alcotest.to_alcotest vfs_rw_prop ]
-  @ mem_tests
+  @ mem_tests @ demand_zero_tests
   @ [ QCheck_alcotest.to_alcotest cow_prop ]
   @ stream_tests @ sync_tests @ kernel_tests
