@@ -11,7 +11,12 @@ type control =
 (* Frames never capture the environment except [KRestore]: every
    transition that extends the environment (Let, Call) pushes a
    KRestore of the previous one, so the environment in the state is
-   always the right one when any other frame resumes. *)
+   always the right one when any other frame resumes.
+
+   Every field of [state] and every constructor reachable from it
+   ([control], [frame], [Ast.value], [Ast.program], the maps) must stay
+   immutable: [of_bytes] may return the very state its parent just
+   encoded, so two machines can share one. *)
 type frame =
   | KRestore of int Env.t
   | KReturn of int Env.t
@@ -101,6 +106,28 @@ let split_on_string s sep =
   in
   loop 0 0 []
 
+(* [s] concatenated [n] times. The result is allocated once and filled
+   by doubling blits — O(log n) memcpys instead of [n] appends — and
+   its size is checked first, so an oversized request is a guest fault
+   rather than a host exception or a host loop. *)
+let repeat s n =
+  if n < 0 then raise (Guest_fault "Repeat: negative count");
+  let len = String.length s in
+  if len > 0 && n > Sys.max_string_length / len then
+    raise (Guest_fault "Repeat: result too large");
+  let total = len * n in
+  let buf = Bytes.create total in
+  if total > 0 then begin
+    Bytes.blit_string s 0 buf 0 len;
+    let filled = ref len in
+    while !filled < total do
+      let k = min !filled (total - !filled) in
+      Bytes.blit buf 0 buf !filled k;
+      filled := !filled + k
+    done
+  end;
+  Bytes.unsafe_to_string buf
+
 let apply_binop op a b =
   let int_op f = Vint (f (as_int a) (as_int b)) in
   let cmp f = Vbool (f (compare a b) 0) in
@@ -128,16 +155,7 @@ let apply_binop op a b =
   | Starts_with ->
     let s = as_str a and p = as_str b in
     Vbool (String.length s >= String.length p && String.sub s 0 (String.length p) = p)
-  | Repeat ->
-    let s = as_str a and n = as_int b in
-    if n < 0 then raise (Guest_fault "Repeat: negative count")
-    else begin
-      let buf = Buffer.create (String.length s * n) in
-      for _ = 1 to n do
-        Buffer.add_string buf s
-      done;
-      Vstr (Buffer.contents buf)
-    end
+  | Repeat -> Vstr (repeat (as_str a) (as_int b))
 
 let apply_unop op v =
   match op with
@@ -330,10 +348,25 @@ let program_name st = st.program.name
 let program_of_state st = st.program
 let exec _st program ~argv = start program ~argv
 let steps_executed st = st.steps
-let to_bytes st = Marshal.to_string st []
+let encode st = Marshal.to_string st []
+
+(* The last image [to_bytes] produced and the state it encodes. A fork
+   child decodes the image its parent encoded moments before, so
+   [of_bytes] hands back that state instead of unmarshalling it again.
+   Sharing it between two machines is sound only because a [state] is
+   immutable all the way down (see [type state]). *)
+let last_image : (string * state) option ref = ref None
+
+let to_bytes st =
+  let image = encode st in
+  last_image := Some (image, st);
+  image
 
 let of_bytes s =
-  try (Marshal.from_string s 0 : state)
-  with _ -> failwith "Interp.of_bytes: corrupt machine image"
+  match !last_image with
+  | Some (image, st) when String.equal s image -> st
+  | _ -> (
+    try (Marshal.from_string s 0 : state)
+    with _ -> failwith "Interp.of_bytes: corrupt machine image")
 
-let state_size st = String.length (to_bytes st)
+let state_size st = String.length (encode st)

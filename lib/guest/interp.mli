@@ -65,10 +65,18 @@ val steps_executed : state -> int
     [exec]); used for CPU accounting. *)
 
 val to_bytes : state -> string
-(** Serialized image of the machine — the payload of a checkpoint. *)
+(** Serialized image of the machine — the payload of a checkpoint. The
+    last image produced is remembered, together with its state, for
+    {!of_bytes}. *)
 
 val of_bytes : string -> state
-(** Inverse of {!to_bytes}. Raises [Failure] on a corrupt image. *)
+(** Inverse of {!to_bytes}. Raises [Failure] on a corrupt image. An
+    image equal to the last one {!to_bytes} produced (a fork child
+    restoring its parent's checkpoint) decodes to that very state,
+    without unmarshalling. This is sound because a [state] is
+    immutable: every field and every value constructor reachable from
+    it must stay so. *)
 
 val state_size : state -> int
-(** [String.length (to_bytes st)]. *)
+(** [String.length (to_bytes st)], without touching the image
+    {!of_bytes} remembers. *)

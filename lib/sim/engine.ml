@@ -1,13 +1,11 @@
-type event = { time : Time.t; seq : int; id : int; fn : unit -> unit }
-
-type event_id = int
+type event = { time : Time.t; seq : int; fn : unit -> unit }
 
 (* Binary min-heap ordered by (time, seq). [seq] breaks ties so that
    events scheduled earlier fire earlier, keeping runs deterministic. *)
 module Heap = struct
   type t = { mutable arr : event array; mutable len : int }
 
-  let dummy = { time = 0; seq = 0; id = 0; fn = ignore }
+  let dummy = { time = 0; seq = 0; fn = ignore }
   let create () = { arr = Array.make 64 dummy; len = 0 }
 
   let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
@@ -63,8 +61,6 @@ type t = {
   mutable clock : Time.t;
   heap : Heap.t;
   mutable next_seq : int;
-  mutable next_id : int;
-  cancelled : (int, unit) Hashtbl.t;
   mutable fired : int;
   mutable fire_hook : (Time.t -> int -> unit) option;
 }
@@ -73,8 +69,6 @@ let create () =
   { clock = Time.zero;
     heap = Heap.create ();
     next_seq = 0;
-    next_id = 0;
-    cancelled = Hashtbl.create 16;
     fired = 0;
     fire_hook = None }
 
@@ -84,29 +78,22 @@ let schedule_at e time fn =
   if time < e.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %d < now %d" time e.clock);
-  let id = e.next_id in
-  e.next_id <- id + 1;
-  Heap.push e.heap { time; seq = e.next_seq; id; fn };
-  e.next_seq <- e.next_seq + 1;
-  id
+  Heap.push e.heap { time; seq = e.next_seq; fn };
+  e.next_seq <- e.next_seq + 1
 
 let schedule_after e d fn = schedule_at e (Time.add e.clock d) fn
-let cancel e id = Hashtbl.replace e.cancelled id ()
 let pending e = e.heap.Heap.len
 
 let events_fired e = e.fired
 let set_fire_hook e hook = e.fire_hook <- hook
 
 let fire e ev =
-  if Hashtbl.mem e.cancelled ev.id then Hashtbl.remove e.cancelled ev.id
-  else begin
-    e.clock <- max e.clock ev.time;
-    e.fired <- e.fired + 1;
-    (match e.fire_hook with
-    | Some hook -> hook e.clock e.heap.Heap.len
-    | None -> ());
-    ev.fn ()
-  end
+  e.clock <- max e.clock ev.time;
+  e.fired <- e.fired + 1;
+  (match e.fire_hook with
+  | Some hook -> hook e.clock e.heap.Heap.len
+  | None -> ());
+  ev.fn ()
 
 let run_until_idle e =
   let rec loop () =

@@ -9,28 +9,21 @@
 
 type t
 
-type event_id
-(** Token identifying a scheduled event, usable for cancellation. *)
-
 val create : unit -> t
 (** A fresh engine with the clock at {!Time.zero}. *)
 
 val now : t -> Time.t
 (** Current virtual time. *)
 
-val schedule_at : t -> Time.t -> (unit -> unit) -> event_id
+val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule_at e t f] runs [f] when the clock reaches [t]. Scheduling
     in the past raises [Invalid_argument]. *)
 
-val schedule_after : t -> Time.t -> (unit -> unit) -> event_id
+val schedule_after : t -> Time.t -> (unit -> unit) -> unit
 (** [schedule_after e d f] runs [f] after [d] more virtual time. *)
 
-val cancel : t -> event_id -> unit
-(** Cancel a pending event; cancelling a fired event is a no-op. *)
-
 val pending : t -> int
-(** Number of events still queued (cancelled events may be counted
-    until they are dequeued). *)
+(** Number of events still queued. *)
 
 val run_until_idle : t -> unit
 (** Fire events in time order until none remain. *)
@@ -51,7 +44,7 @@ val advance : t -> Time.t -> unit
 (** {1 Instrumentation} *)
 
 val events_fired : t -> int
-(** Lifetime count of events dispatched (cancelled events excluded). *)
+(** Lifetime count of events dispatched. *)
 
 val set_fire_hook : t -> (Time.t -> int -> unit) option -> unit
 (** Observe each dispatch: called with the clock and the number of

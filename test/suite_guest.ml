@@ -184,6 +184,32 @@ let fork_semantics_tests =
           | _ -> Alcotest.fail "store leaked")
         | _ -> Alcotest.fail "expected fork suspension") ]
 
+(* [of_bytes] hands back the state behind the last image [to_bytes]
+   produced; encoding another machine first makes it really unmarshal. *)
+let decode_uncached image =
+  ignore (Interp.to_bytes (Interp.start (prog ~name:"/other" (int 0)) ~argv:[]));
+  Interp.of_bytes image
+
+(* Run a machine to its first syscall and return the suspended state. *)
+let to_syscall program =
+  match Interp.run (Interp.start program ~argv:[]) ~fuel:100_000 with
+  | Interp.Syscall (_, _, st) -> st
+  | _ -> Alcotest.fail "expected suspension"
+
+let finish st =
+  match Interp.run (Interp.resume st Ast.Vunit) ~fuel:100_000 with
+  | Interp.Finished v -> v
+  | _ -> Alcotest.fail "machine did not finish"
+
+let index_of s sub =
+  let n = String.length sub in
+  let rec go i =
+    if i + n > String.length s then Alcotest.failf "%S not in the image" sub
+    else if String.sub s i n = sub then i
+    else go (i + 1)
+  in
+  go 0
+
 let serialize_tests =
   [ case "to_bytes/of_bytes round trip mid-execution" (fun () ->
         let program =
@@ -192,7 +218,7 @@ let serialize_tests =
         let st = Interp.start program ~argv:[] in
         (match Interp.run st ~fuel:1000 with
         | Interp.Syscall ("getpid", [], st') ->
-          let st'' = Interp.of_bytes (Interp.to_bytes st') in
+          let st'' = decode_uncached (Interp.to_bytes st') in
           (match Interp.run (Interp.resume st'' (Ast.Vint 37)) ~fuel:1000 with
           | Interp.Finished (Ast.Vint 42) -> ()
           | _ -> Alcotest.fail "round trip lost state")
@@ -209,7 +235,47 @@ let serialize_tests =
         let big =
           match Interp.run big ~fuel:10 with Interp.Running st -> st | _ -> big
         in
-        Util.check_bool "grows" true (Interp.state_size big > Interp.state_size small)) ]
+        Util.check_bool "grows" true (Interp.state_size big > Interp.state_size small));
+    case "of_bytes returns the just-encoded state" (fun () ->
+        let st = to_syscall (prog ~name:"/t" (let_ "a" (int 5) (sys "probe" []))) in
+        let image = Interp.to_bytes st in
+        ignore (Interp.state_size (Interp.start (prog ~name:"/t" (int 1)) ~argv:[]));
+        Util.check_bool "same state" true (Interp.of_bytes image == st);
+        (* the child sees a copy that crossed a stream, not the same string *)
+        let shipped = Bytes.to_string (Bytes.of_string image) in
+        Util.check_bool "equal copy hits" true (Interp.of_bytes shipped == st));
+    case "an older image is really unmarshalled" (fun () ->
+        let a = to_syscall (prog ~name:"/a" (let_ "a" (int 5) (seq [ sys "probe" []; v "a" ]))) in
+        let b = to_syscall (prog ~name:"/b" (seq [ sys "probe" []; int 9 ])) in
+        let image_a = Interp.to_bytes a in
+        ignore (Interp.to_bytes b);
+        let a' = Interp.of_bytes image_a in
+        Util.check_bool "fresh state" false (a' == a);
+        Util.check_str "same program" "/a" (Interp.program_name a');
+        Util.check_bool "same answer" true (Ast.equal_value (finish a) (finish a')));
+    case "a tampered image misses the cache" (fun () ->
+        let st =
+          to_syscall (prog ~name:"/t" (let_ "s" (str "MARKER-a") (seq [ sys "probe" []; v "s" ])))
+        in
+        let image = Interp.to_bytes st in
+        let tampered = Bytes.of_string image in
+        Bytes.set tampered (index_of image "MARKER-a" + 7) 'b';
+        let st' = Interp.of_bytes (Bytes.to_string tampered) in
+        Util.check_bool "not the cached state" false (st' == st);
+        Util.check_str "decoded the tampered bytes" "MARKER-b" (Ast.as_str (finish st')));
+    (* Deviation pin: the store never frees a binding, so every [let]
+       a loop runs stays in the image (a long-running shell's fork image
+       grows with every line). Fixing this is a model change. *)
+    case "dead bindings stay in the machine image" (fun () ->
+        let image n =
+          Interp.state_size
+            (to_syscall
+               (prog ~name:"/t"
+                  (seq [ for_ "i" (int 1) (int n) (let_ "x" (v "i") unit); sys "probe" [] ])))
+        in
+        let entry = image 2 - image 1 in
+        Util.check_bool "an entry costs bytes" true (entry > 0);
+        Util.check_bool "100 dead bindings retained" true (image 100 - image 0 >= 100 * entry)) ]
 
 let interrupt_tests =
   [ case "interrupt runs the handler then continues" (fun () ->
@@ -353,7 +419,7 @@ let roundtrip_prop =
           | _ -> ()
       in
       advance steps;
-      let copy = Interp.of_bytes (Interp.to_bytes !st) in
+      let copy = decode_uncached (Interp.to_bytes !st) in
       let finish st =
         match Interp.run st ~fuel:100_000 with
         | Interp.Finished v -> Some v
@@ -402,8 +468,20 @@ let edge_tests =
           (eval_int
              (let_ "n" (int 0)
                 (seq [ while_ (v "n" <% int 3) (set "n" (v "n" +% int 1)); v "n" ]))));
-    case "repeat with zero count is empty" (fun () ->
-        Util.check_str "empty" "" (eval_str (repeat (str "ab") (int 0))));
+    case "repeat matches n-fold concatenation" (fun () ->
+        List.iter
+          (fun (s, n) ->
+            Util.check_str
+              (Printf.sprintf "repeat %S %d" s n)
+              (String.concat "" (List.init n (fun _ -> s)))
+              (eval_str (repeat (str s) (int n))))
+          [ ("x", 3); ("ab", 0); ("", 5); ("abc", 1); ("abc", 7); ("w", 65536) ]);
+    case "oversized repeat faults the guest" (fun () ->
+        let st = Interp.start (prog ~name:"/t" (repeat (str "ab") (int max_int))) ~argv:[] in
+        (match Interp.run st ~fuel:100 with
+        | Interp.Fault _ -> ()
+        | _ -> Alcotest.fail "expected a guest fault");
+        Util.check_str "empty string, any count" "" (eval_str (repeat (str "") (int max_int))));
     case "split with multi-char separator" (fun () ->
         match eval (split (str "a--b--c") (str "--")) with
         | Ast.Vlist [ Ast.Vstr "a"; Ast.Vstr "b"; Ast.Vstr "c" ] -> ()

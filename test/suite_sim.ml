@@ -59,13 +59,6 @@ let engine_tests =
         Engine.run_until_idle e;
         Alcotest.check_raises "past" (Invalid_argument "Engine.schedule_at: time 3 < now 10")
           (fun () -> ignore (Engine.schedule_at e 3 ignore)));
-    case "cancel prevents firing" (fun () ->
-        let e = Engine.create () in
-        let fired = ref false in
-        let id = Engine.schedule_at e 10 (fun () -> fired := true) in
-        Engine.cancel e id;
-        Engine.run_until_idle e;
-        Util.check_bool "not fired" false !fired);
     case "events scheduled while running fire" (fun () ->
         let e = Engine.create () in
         let log = ref [] in
