@@ -1,7 +1,6 @@
 open Ast
 
 module Env = Map.Make (String)
-module Store = Map.Make (Int)
 
 type control =
   | Eval of expr
@@ -77,22 +76,6 @@ let start program ~argv =
     steps = 0;
     stack = [ "main" ] }
 
-let lookup st x =
-  match Env.find_opt x st.env with
-  | Some loc -> Store.find loc st.store
-  | None -> raise (Guest_fault ("unbound variable " ^ x))
-
-let bind st x v =
-  let loc = st.next_loc in
-  let env = Env.add x loc st.env in
-  let store = Store.add loc v st.store in
-  (env, store, loc + 1)
-
-let assign st x v =
-  match Env.find_opt x st.env with
-  | Some loc -> Store.add loc v st.store
-  | None -> raise (Guest_fault ("assignment to unbound variable " ^ x))
-
 (* Split [s] on the (non-empty) separator string [sep]. *)
 let split_on_string s sep =
   let seplen = String.length sep in
@@ -128,7 +111,7 @@ let repeat s n =
   end;
   Bytes.unsafe_to_string buf
 
-let apply_binop op a b =
+let apply_binop_general op a b =
   let int_op f = Vint (f (as_int a) (as_int b)) in
   let cmp f = Vbool (f (compare a b) 0) in
   match op with
@@ -156,6 +139,23 @@ let apply_binop op a b =
     let s = as_str a and p = as_str b in
     Vbool (String.length s >= String.length p && String.sub s 0 (String.length p) = p)
   | Repeat -> Vstr (repeat (as_str a) (as_int b))
+
+(* Integer arithmetic and comparison, the bulk of every guest loop,
+   skip the polymorphic [compare]/[=] calls. They still allocate a fresh
+   result: physical sharing shows in a machine image (Marshal writes a
+   shared block once), so returning one shared [Vbool true] would
+   shrink images and move fork costs. *)
+let apply_binop op a b =
+  match (op, a, b) with
+  | Add, Vint x, Vint y -> Vint (x + y)
+  | Sub, Vint x, Vint y -> Vint (x - y)
+  | Lt, Vint x, Vint y -> Vbool (x < y)
+  | Le, Vint x, Vint y -> Vbool (x <= y)
+  | Gt, Vint x, Vint y -> Vbool (x > y)
+  | Ge, Vint x, Vint y -> Vbool (x >= y)
+  | Eq, Vint x, Vint y -> Vbool (x = y)
+  | Ne, Vint x, Vint y -> Vbool (x <> y)
+  | _ -> apply_binop_general op a b
 
 let apply_unop op v =
   match op with
@@ -188,144 +188,142 @@ let find_func program name =
   | Some f -> f
   | None -> raise (Guest_fault ("undefined function " ^ name))
 
-let enter_call st fname arg_values =
-  let func = find_func st.program fname in
-  if List.length func.params <> List.length arg_values then
-    raise
-      (Guest_fault
-         (Printf.sprintf "%s expects %d arguments, got %d" fname
-            (List.length func.params) (List.length arg_values)));
-  let saved_env = st.env in
-  let env, store, next_loc =
-    List.fold_left2
-      (fun (env, store, next) param v ->
-        let loc = next in
-        (Env.add param loc env, Store.add loc v store, next + 1))
-      (Env.empty, st.store, st.next_loc)
-      func.params arg_values
-  in
-  { st with
-    control = Eval func.body;
-    env;
-    store;
-    next_loc;
-    kont = KReturn saved_env :: st.kont;
-    stack = fname :: st.stack }
+(* The state of a run that stopped with [control] in its registers. *)
+let freeze program control env store next_loc kont steps stack =
+  { control; env; store; next_loc; kont; program; steps; stack }
 
-let step_unsafe st =
-  let st = { st with steps = st.steps + 1 } in
-  match st.control with
-  | Await -> invalid_arg "Interp.step: machine is awaiting a syscall result"
-  | Eval e -> (
+(* The machine proper. A run keeps its registers in the arguments of
+   two mutually tail-recursive loops: [eval e] is control [Eval e],
+   [ret v] is control [Ret v]. Each pass through either is one small
+   step; a [state] record is built only where the run stops (fuel out,
+   [Syscall], [Compute]). A transition's result depends only on the
+   registers, never on where a run stopped, so a machine's image,
+   physical sharing included, is the same at any fuel. *)
+let rec eval p e env store next_loc kont steps stack fuel =
+  if fuel = 0 then Running (freeze p (Eval e) env store next_loc kont steps stack)
+  else
+    let steps = steps + 1 and fuel = fuel - 1 in
     match e with
-    | Const v -> Running { st with control = Ret v }
-    | Var x -> Running { st with control = Ret (lookup st x) }
-    | Let (x, e1, body) ->
-      Running { st with control = Eval e1; kont = KLet (x, body) :: st.kont }
-    | Set (x, e1) -> Running { st with control = Eval e1; kont = KSet x :: st.kont }
-    | If (c, t, f) -> Running { st with control = Eval c; kont = KIf (t, f) :: st.kont }
-    | While (c, body) ->
-      Running { st with control = Eval c; kont = KWhile (c, body) :: st.kont }
-    | Seq (e1, e2) -> Running { st with control = Eval e1; kont = KSeq e2 :: st.kont }
-    | And (e1, e2) -> Running { st with control = Eval e1; kont = KAnd e2 :: st.kont }
-    | Or (e1, e2) -> Running { st with control = Eval e1; kont = KOr e2 :: st.kont }
-    | Binop (op, e1, e2) ->
-      Running { st with control = Eval e1; kont = KBinop1 (op, e2) :: st.kont }
-    | Unop (op, e1) -> Running { st with control = Eval e1; kont = KUnop op :: st.kont }
-    | Cons (e1, e2) -> Running { st with control = Eval e1; kont = KCons1 e2 :: st.kont }
-    | Pair (e1, e2) -> Running { st with control = Eval e1; kont = KPair1 e2 :: st.kont }
+    | Const v -> ret p v env store next_loc kont steps stack fuel
+    | Var x -> (
+      match Env.find x env with
+      | loc -> ret p (Store.find loc store) env store next_loc kont steps stack fuel
+      | exception Not_found -> raise (Guest_fault ("unbound variable " ^ x)))
+    | Let (x, e1, body) -> eval p e1 env store next_loc (KLet (x, body) :: kont) steps stack fuel
+    | Set (x, e1) -> eval p e1 env store next_loc (KSet x :: kont) steps stack fuel
+    | If (c, t, f) -> eval p c env store next_loc (KIf (t, f) :: kont) steps stack fuel
+    | While (c, body) -> eval p c env store next_loc (KWhile (c, body) :: kont) steps stack fuel
+    | Seq (e1, e2) -> eval p e1 env store next_loc (KSeq e2 :: kont) steps stack fuel
+    | And (e1, e2) -> eval p e1 env store next_loc (KAnd e2 :: kont) steps stack fuel
+    | Or (e1, e2) -> eval p e1 env store next_loc (KOr e2 :: kont) steps stack fuel
+    | Binop (op, e1, e2) -> eval p e1 env store next_loc (KBinop1 (op, e2) :: kont) steps stack fuel
+    | Unop (op, e1) -> eval p e1 env store next_loc (KUnop op :: kont) steps stack fuel
+    | Cons (e1, e2) -> eval p e1 env store next_loc (KCons1 e2 :: kont) steps stack fuel
+    | Pair (e1, e2) -> eval p e1 env store next_loc (KPair1 e2 :: kont) steps stack fuel
     | Match_list (e1, nil_case, cons_case) ->
-      Running { st with control = Eval e1; kont = KMatch (nil_case, cons_case) :: st.kont }
-    | Call (f, []) -> Running (enter_call st f [])
-    | Call (f, a :: rest) ->
-      Running { st with control = Eval a; kont = KCall (f, [], rest) :: st.kont }
-    | Syscall (name, []) -> Syscall (name, [], { st with control = Await })
+      eval p e1 env store next_loc (KMatch (nil_case, cons_case) :: kont) steps stack fuel
+    | Call (f, []) -> call p f [] env store next_loc kont steps stack fuel
+    | Call (f, a :: rest) -> eval p a env store next_loc (KCall (f, [], rest) :: kont) steps stack fuel
+    | Syscall (name, []) -> Syscall (name, [], freeze p Await env store next_loc kont steps stack)
     | Syscall (name, a :: rest) ->
-      Running { st with control = Eval a; kont = KSys (name, [], rest) :: st.kont }
-    | Spin e1 -> Running { st with control = Eval e1; kont = KSpin :: st.kont })
-  | Ret v -> (
-    match st.kont with
+      eval p a env store next_loc (KSys (name, [], rest) :: kont) steps stack fuel
+    | Spin e1 -> eval p e1 env store next_loc (KSpin :: kont) steps stack fuel
+
+and ret p v env store next_loc kont steps stack fuel =
+  if fuel = 0 then Running (freeze p (Ret v) env store next_loc kont steps stack)
+  else
+    let steps = steps + 1 and fuel = fuel - 1 in
+    match kont with
     | [] -> Finished v
     | frame :: kont -> (
-      let st = { st with kont } in
       match frame with
-      | KRestore env -> Running { st with env }
+      | KRestore env -> ret p v env store next_loc kont steps stack fuel
       | KReturn env ->
-        Running
-          { st with env; stack = (match st.stack with _ :: (_ :: _ as r) -> r | s -> s) }
+        let stack = match stack with _ :: (_ :: _ as r) -> r | s -> s in
+        ret p v env store next_loc kont steps stack fuel
       | KLet (x, body) ->
-        let env, store, next_loc = bind st x v in
-        Running
-          { st with
-            control = Eval body;
-            env;
-            store;
-            next_loc;
-            kont = KRestore st.env :: st.kont }
-      | KSet x -> Running { st with control = Ret Vunit; store = assign st x v }
-      | KSeq e2 -> Running { st with control = Eval e2 }
-      | KIf (t, f) -> Running { st with control = Eval (if truthy v then t else f) }
+        eval p body (Env.add x next_loc env) (Store.add next_loc v store) (next_loc + 1)
+          (KRestore env :: kont) steps stack fuel
+      | KSet x -> (
+        match Env.find x env with
+        | loc -> ret p Vunit env (Store.add loc v store) next_loc kont steps stack fuel
+        | exception Not_found -> raise (Guest_fault ("assignment to unbound variable " ^ x)))
+      | KSeq e2 -> eval p e2 env store next_loc kont steps stack fuel
+      | KIf (t, f) -> eval p (if truthy v then t else f) env store next_loc kont steps stack fuel
       | KWhile (c, body) ->
         if truthy v then
-          Running { st with control = Eval body; kont = KWhileBody (c, body) :: st.kont }
-        else Running { st with control = Ret Vunit }
+          eval p body env store next_loc (KWhileBody (c, body) :: kont) steps stack fuel
+        else ret p Vunit env store next_loc kont steps stack fuel
       | KWhileBody (c, body) ->
-        Running { st with control = Eval c; kont = KWhile (c, body) :: st.kont }
+        eval p c env store next_loc (KWhile (c, body) :: kont) steps stack fuel
       | KAnd e2 ->
-        if truthy v then Running { st with control = Eval e2 }
-        else Running { st with control = Ret (Vbool false) }
+        if truthy v then eval p e2 env store next_loc kont steps stack fuel
+        else ret p (Vbool false) env store next_loc kont steps stack fuel
       | KOr e2 ->
-        if truthy v then Running { st with control = Ret (Vbool true) }
-        else Running { st with control = Eval e2 }
-      | KBinop1 (op, e2) ->
-        Running { st with control = Eval e2; kont = KBinop2 (op, v) :: st.kont }
-      | KBinop2 (op, a) -> Running { st with control = Ret (apply_binop op a v) }
-      | KUnop op -> Running { st with control = Ret (apply_unop op v) }
-      | KCons1 e2 -> Running { st with control = Eval e2; kont = KCons2 v :: st.kont }
-      | KCons2 hd -> Running { st with control = Ret (Vlist (hd :: as_list v)) }
-      | KPair1 e2 -> Running { st with control = Eval e2; kont = KPair2 v :: st.kont }
-      | KPair2 a -> Running { st with control = Ret (Vpair (a, v)) }
+        if truthy v then ret p (Vbool true) env store next_loc kont steps stack fuel
+        else eval p e2 env store next_loc kont steps stack fuel
+      | KBinop1 (op, e2) -> eval p e2 env store next_loc (KBinop2 (op, v) :: kont) steps stack fuel
+      | KBinop2 (op, a) -> ret p (apply_binop op a v) env store next_loc kont steps stack fuel
+      | KUnop op -> ret p (apply_unop op v) env store next_loc kont steps stack fuel
+      | KCons1 e2 -> eval p e2 env store next_loc (KCons2 v :: kont) steps stack fuel
+      | KCons2 hd -> ret p (Vlist (hd :: as_list v)) env store next_loc kont steps stack fuel
+      | KPair1 e2 -> eval p e2 env store next_loc (KPair2 v :: kont) steps stack fuel
+      | KPair2 a -> ret p (Vpair (a, v)) env store next_loc kont steps stack fuel
       | KMatch (nil_case, (h, t, cons_case)) -> (
         match as_list v with
-        | [] -> Running { st with control = Eval nil_case }
+        | [] -> eval p nil_case env store next_loc kont steps stack fuel
         | hd :: tl ->
-          let env, store, next_loc = bind st h hd in
-          let st' = { st with env; store; next_loc } in
-          let env, store, next_loc = bind st' t (Vlist tl) in
-          Running
-            { st' with
-              control = Eval cons_case;
-              env;
-              store;
-              next_loc;
-              kont = KRestore st.env :: st.kont })
+          eval p cons_case
+            (Env.add t (next_loc + 1) (Env.add h next_loc env))
+            (Store.add (next_loc + 1) (Vlist tl) (Store.add next_loc hd store))
+            (next_loc + 2) (KRestore env :: kont) steps stack fuel)
       | KCall (f, done_, todo) -> (
         match todo with
-        | [] -> Running (enter_call st f (List.rev (v :: done_)))
+        | [] -> call p f (List.rev (v :: done_)) env store next_loc kont steps stack fuel
         | a :: rest ->
-          Running { st with control = Eval a; kont = KCall (f, v :: done_, rest) :: st.kont })
+          eval p a env store next_loc (KCall (f, v :: done_, rest) :: kont) steps stack fuel)
       | KSys (name, done_, todo) -> (
         match todo with
-        | [] -> Syscall (name, List.rev (v :: done_), { st with control = Await })
+        | [] ->
+          Syscall
+            (name, List.rev (v :: done_), freeze p Await env store next_loc kont steps stack)
         | a :: rest ->
-          Running { st with control = Eval a; kont = KSys (name, v :: done_, rest) :: st.kont })
+          eval p a env store next_loc (KSys (name, v :: done_, rest) :: kont) steps stack fuel)
       | KSpin ->
         let n = as_int v in
         if n < 0 then raise (Guest_fault "Spin: negative work")
-        else Compute (n, { st with control = Ret Vunit })
-      | KResume saved -> Running { st with control = saved }))
+        else Compute (n, freeze p (Ret Vunit) env store next_loc kont steps stack)
+      | KResume saved -> control p saved env store next_loc kont steps stack fuel)
 
-let step st = try step_unsafe st with Guest_fault msg -> Fault msg
+(* Enter program function [fname]: its parameters are bound in a fresh
+   environment, and [KReturn] restores the caller's. *)
+and call p fname args env store next_loc kont steps stack fuel =
+  let func = find_func p fname in
+  if List.length func.params <> List.length args then
+    raise
+      (Guest_fault
+         (Printf.sprintf "%s expects %d arguments, got %d" fname (List.length func.params)
+            (List.length args)));
+  let callee_env, store, next_loc =
+    List.fold_left2
+      (fun (env, store, loc) param v -> (Env.add param loc env, Store.add loc v store, loc + 1))
+      (Env.empty, store, next_loc) func.params args
+  in
+  eval p func.body callee_env store next_loc (KReturn env :: kont) steps (fname :: stack) fuel
+
+and control p c env store next_loc kont steps stack fuel =
+  match c with
+  | Eval e -> eval p e env store next_loc kont steps stack fuel
+  | Ret v -> ret p v env store next_loc kont steps stack fuel
+  | Await ->
+    if fuel = 0 then Running (freeze p Await env store next_loc kont steps stack)
+    else invalid_arg "Interp.step: machine is awaiting a syscall result"
 
 let run st ~fuel =
-  let rec loop st fuel =
-    if fuel = 0 then Running st
-    else
-      match step st with
-      | Running st' -> loop st' (fuel - 1)
-      | other -> other
-  in
-  loop st fuel
+  try control st.program st.control st.env st.store st.next_loc st.kont st.steps st.stack fuel
+  with Guest_fault msg -> Fault msg
+
+let step st = run st ~fuel:1
 
 let resume st v =
   (match st.control with

@@ -166,13 +166,17 @@ let audit t cat ~action args =
 
 let cache_of_ns = function Coord.Sysv -> "owner" | Coord.Pid -> "pid"
 
+(* Lease hits fire on every owner-cached call: build a counter name or
+   an audit payload only when its sink is on. *)
 let lease_count t ns what =
-  obs_count t ("ipc.lease." ^ cache_of_ns ns ^ "." ^ what)
+  let tracer = (kernel t).K.tracer in
+  if Obs.enabled tracer then Obs.count tracer ("ipc.lease." ^ cache_of_ns ns ^ "." ^ what)
 
 let audit_lease t ns action key =
-  audit t Audit.Lease ~action
-    (("cache", Obs.Astr (cache_of_ns ns))
-    :: (match key with Some k -> [ ("key", Obs.Aint k) ] | None -> []))
+  if Audit.enabled (kernel t).K.audit then
+    audit t Audit.Lease ~action
+      (("cache", Obs.Astr (cache_of_ns ns))
+      :: (match key with Some k -> [ ("key", Obs.Aint k) ] | None -> []))
 
 let res_arg tag key = ("res", Obs.Astr (Printf.sprintf "%s:%d" tag key))
 

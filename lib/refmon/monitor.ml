@@ -123,7 +123,11 @@ let deny t (pico : K.pico) what =
 
 (* An allow with its manifest-rule provenance; [cached] marks verdicts
    answered from the decision cache (attributed to the rule that
-   filled the entry). *)
+   filled the entry). Allows are the hot path, so callers test
+   [auditing] first: a disabled log costs one branch and formats no
+   target. *)
+let auditing t = Audit.enabled t.kernel.K.audit
+
 let audit_allow t (pico : K.pico) ~target ~rule ~cached =
   K.audit_emit t.kernel Audit.Refmon ~action:"allow" ~pid:pico.K.pid
     ~args:
@@ -146,7 +150,7 @@ let check_path_rule t pico path access =
   let m = manifest_of t (pico : K.pico).K.sandbox in
   match Manifest.matching_rule m path access with
   | Some rule ->
-    audit_allow t pico ~target:(path_target path access) ~rule ~cached:false;
+    if auditing t then audit_allow t pico ~target:(path_target path access) ~rule ~cached:false;
     Some rule
   | None ->
     ignore (deny t pico (Printf.sprintf "path %s (%c)" path (access_char access)));
@@ -166,7 +170,8 @@ let lsm_of t =
           | Some (e, rule) when e = epoch ->
             t.dec_stats.hits <- t.dec_stats.hits + 1;
             cache_count t "refmon.cache.hit";
-            audit_allow t pico ~target:(path_target path access) ~rule ~cached:true;
+            if auditing t then
+              audit_allow t pico ~target:(path_target path access) ~rule ~cached:true;
             true
           | _ -> (
             t.dec_stats.misses <- t.dec_stats.misses + 1;
@@ -189,11 +194,12 @@ let lsm_of t =
         let m = manifest_of t pico.K.sandbox in
         match Manifest.matching_net_rule m ~port dir with
         | Some rule ->
-          audit_allow t pico
-            ~target:
-              (Printf.sprintf "port %d (%s)" port
-                 (match dir with `Bind -> "bind" | `Connect -> "connect"))
-            ~rule ~cached:false;
+          if auditing t then
+            audit_allow t pico
+              ~target:
+                (Printf.sprintf "port %d (%s)" port
+                   (match dir with `Bind -> "bind" | `Connect -> "connect"))
+              ~rule ~cached:false;
           true
         | None ->
           deny t pico
