@@ -53,7 +53,7 @@ let create ?(cores = 4) ?(seed = 42) ?(noise = 0.0) ?(cfg = Ipc_config.default (
   (* fast-path caches come up from the run's config, after install-time
      churn, so cache-off runs reproduce the pre-cache walks exactly *)
   Graphene_host.Vfs.configure_dcache kernel.K.fs ~enabled:cfg.Ipc_config.dcache
-    ~capacity:cfg.Ipc_config.dcache_capacity;
+    ~capacity:Graphene_host.Vfs.dcache_capacity;
   let native =
     match stack with
     | Linux -> Some (Native.create kernel)
@@ -61,11 +61,9 @@ let create ?(cores = 4) ?(seed = 42) ?(noise = 0.0) ?(cfg = Ipc_config.default (
     | Graphene | Graphene_rm -> None
   in
   let monitor = match stack with Graphene_rm -> Some (Monitor.install kernel) | _ -> None in
-  (match monitor with
-  | Some mon ->
-    Monitor.configure_cache mon ~enabled:cfg.Ipc_config.refmon_cache
-      ~capacity:cfg.Ipc_config.refmon_cache_capacity
-  | None -> ());
+  Option.iter
+    (fun mon -> Monitor.configure_cache mon ~enabled:cfg.Ipc_config.refmon_cache)
+    monitor;
   { kernel; stack; native; monitor; cfg }
 
 let kernel t = t.kernel

@@ -7,6 +7,8 @@
     '/'-separated; "." and ".." components are normalized away so the
     LSM cannot be escaped lexically. *)
 
+module Fifo_cache = Graphene_sim.Fifo_cache
+
 type file = { mutable data : bytes; mutable size : int }
 
 type node = File of file | Dir of (string, node) Hashtbl.t
@@ -22,20 +24,9 @@ type node = File of file | Dir of (string, node) Hashtbl.t
 
 type dentry = Present of node | Absent
 
-type dcache_stats = {
-  mutable hits : int;
-  mutable neg_hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
-}
-
 type dcache = {
   mutable enabled : bool;
-  mutable capacity : int;
-  tbl : (string, dentry) Hashtbl.t;
-  order : string Queue.t;  (** insertion order; oldest evicts first *)
-  stats : dcache_stats;
+  mutable entries : (string, dentry) Fifo_cache.t;
   mutable on_event : string -> unit;  (** counter hook (graphene.obs) *)
 }
 
@@ -51,34 +42,20 @@ exception Error of string
 
 let err tag = raise (Error tag)
 
+let dcache_capacity = 1024
+
 let create () =
   { root = Dir (Hashtbl.create 16);
     dcache =
       { enabled = false;
-        capacity = 1024;
-        tbl = Hashtbl.create 64;
-        order = Queue.create ();
-        stats = { hits = 0; neg_hits = 0; misses = 0; evictions = 0; invalidations = 0 };
+        entries = Fifo_cache.create ~capacity:dcache_capacity;
         on_event = ignore } }
-
-let dcache_flush t =
-  Hashtbl.reset t.dcache.tbl;
-  Queue.clear t.dcache.order
 
 let configure_dcache t ~enabled ~capacity =
   t.dcache.enabled <- enabled;
-  t.dcache.capacity <- max 1 capacity;
-  if not enabled then dcache_flush t
+  t.dcache.entries <- Fifo_cache.create ~capacity
 
 let set_dcache_hook t f = t.dcache.on_event <- f
-
-let dcache_stats t =
-  let s = t.dcache.stats in
-  { hits = s.hits;
-    neg_hits = s.neg_hits;
-    misses = s.misses;
-    evictions = s.evictions;
-    invalidations = s.invalidations }
 
 (* Normalize an absolute path to its component list. "/a/../b" -> ["b"]. *)
 let components path =
@@ -104,38 +81,9 @@ let rec walk node = function
       | Some child -> walk child rest
       | None -> None))
 
-(* Oldest live entry goes; keys already invalidated are skipped (their
-   queue slots are left behind rather than compacted eagerly). *)
-let dc_evict t =
-  let d = t.dcache in
-  let rec pop () =
-    if not (Queue.is_empty d.order) then begin
-      let k = Queue.pop d.order in
-      if Hashtbl.mem d.tbl k then begin
-        Hashtbl.remove d.tbl k;
-        d.stats.evictions <- d.stats.evictions + 1;
-        d.on_event "vfs.dcache.evict"
-      end
-      else pop ()
-    end
-  in
-  pop ()
-
-let dc_fill t key entry =
-  let d = t.dcache in
-  if not (Hashtbl.mem d.tbl key) then begin
-    if Hashtbl.length d.tbl >= d.capacity then dc_evict t;
-    Queue.push key d.order
-  end;
-  Hashtbl.replace d.tbl key entry
-
 let dc_invalidate_exact t key =
   let d = t.dcache in
-  if d.enabled && Hashtbl.mem d.tbl key then begin
-    Hashtbl.remove d.tbl key;
-    d.stats.invalidations <- d.stats.invalidations + 1;
-    d.on_event "vfs.dcache.invalidate"
-  end
+  if d.enabled && Fifo_cache.remove d.entries key then d.on_event "vfs.dcache.invalidate"
 
 (* Drop [key] and everything under it: a rename or unlink changes what
    every descendant path resolves to. *)
@@ -143,18 +91,8 @@ let dc_invalidate_subtree t key =
   let d = t.dcache in
   if d.enabled then begin
     let prefix = if key = "/" then "/" else key ^ "/" in
-    let doomed =
-      Hashtbl.fold
-        (fun k _ acc ->
-          if k = key || String.starts_with ~prefix k then k :: acc else acc)
-        d.tbl []
-    in
-    List.iter
-      (fun k ->
-        Hashtbl.remove d.tbl k;
-        d.stats.invalidations <- d.stats.invalidations + 1;
-        d.on_event "vfs.dcache.invalidate")
-      doomed
+    Fifo_cache.drop_matching d.entries (fun k _ -> k = key || String.starts_with ~prefix k)
+    |> List.iter (fun _ -> d.on_event "vfs.dcache.invalidate")
   end
 
 let lookup t path =
@@ -162,20 +100,18 @@ let lookup t path =
   if not d.enabled then walk t.root (components path)
   else begin
     let key = normalize path in
-    match Hashtbl.find_opt d.tbl key with
+    match Fifo_cache.find d.entries key with
     | Some (Present node) ->
-      d.stats.hits <- d.stats.hits + 1;
       d.on_event "vfs.dcache.hit";
       Some node
     | Some Absent ->
-      d.stats.neg_hits <- d.stats.neg_hits + 1;
       d.on_event "vfs.dcache.neg_hit";
       None
     | None ->
-      d.stats.misses <- d.stats.misses + 1;
       d.on_event "vfs.dcache.miss";
       let r = walk t.root (components path) in
-      dc_fill t key (match r with Some n -> Present n | None -> Absent);
+      if Fifo_cache.add d.entries key (match r with Some n -> Present n | None -> Absent) <> None
+      then d.on_event "vfs.dcache.evict";
       r
   end
 
@@ -185,7 +121,7 @@ let dcache_probe t path =
   let d = t.dcache in
   if not d.enabled then Dmiss
   else
-    match Hashtbl.find_opt d.tbl (normalize path) with
+    match Fifo_cache.find d.entries (normalize path) with
     | Some (Present _) -> Dhit
     | Some Absent -> Dneg_hit
     | None -> Dmiss

@@ -25,24 +25,21 @@ val normalize : string -> string
 (** {1 Dentry cache}
 
     A bounded memo of path resolutions, positive (path → node) and
-    negative (path → ENOENT), keyed by canonical path. Namespace
+    negative (path → ENOENT), keyed by canonical path, in a
+    {!Graphene_sim.Fifo_cache} (oldest evicts first). Namespace
     mutations invalidate: unlink and rename drop the affected subtree,
     mkdir and file creation drop the stale negative entry. Off until
     {!configure_dcache} enables it, so the walk-every-time behavior is
     the default (docs/PERF.md). *)
 
-type dcache_stats = {
-  mutable hits : int;
-  mutable neg_hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
-}
-
 type dprobe = Dhit | Dneg_hit | Dmiss
 
+val dcache_capacity : int
+(** The entry bound every simulated host runs with (1024). *)
+
 val configure_dcache : t -> enabled:bool -> capacity:int -> unit
-(** Turn the cache on or off and bound it; disabling flushes. *)
+(** Turn the cache on or off and bound it; either way it restarts
+    empty. *)
 
 val set_dcache_hook : t -> (string -> unit) -> unit
 (** Counter hook: called with "vfs.dcache.hit" / "neg_hit" / "miss" /
@@ -52,11 +49,6 @@ val set_dcache_hook : t -> (string -> unit) -> unit
 val dcache_probe : t -> string -> dprobe
 (** Pure probe for cost composition: would this lookup hit? Does not
     fill the cache, count, or disturb eviction order. *)
-
-val dcache_stats : t -> dcache_stats
-(** A snapshot copy of the counters. *)
-
-val dcache_flush : t -> unit
 
 val depth : string -> int
 (** Number of path components after normalization. *)

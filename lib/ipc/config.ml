@@ -6,11 +6,9 @@
     remote message-queue receive overhead by ~10x, and stream caching
     turns a ~2 ms first signal into ~55 us).
 
-    The timing knobs parameterize the failure-handling machinery:
-    every delay the coordination layer waits on is named here instead
-    of hard-coded, so the chaos benchmark (and tests) can tighten or
-    stretch them. Defaults reproduce the framework's historical
-    behavior exactly. *)
+    A knob lives here only if a bench experiment toggles it; the
+    failure-handling delays and the cache bounds are constants next to
+    their users. *)
 
 module Time = Graphene_sim.Time
 
@@ -21,50 +19,18 @@ type t = {
   mutable migrate_ownership : bool;
       (** migrate queues to their consumer / semaphores to their most
           frequent acquirer *)
-  mutable migrate_threshold : int;
-      (** consecutive remote operations before ownership moves *)
   mutable pid_batch : int;
       (** how many PIDs the leader hands out per allocation request *)
   mutable cache_p2p : bool;
       (** keep point-to-point streams open between RPCs *)
   mutable cache_owners : bool;
       (** cache name-to-owner resolutions (PID maps, queue owners) *)
-  (* --- failure handling --- *)
-  mutable rpc_tries : int;
-      (** attempts per RPC before giving up (connect + response) *)
-  mutable rpc_timeout : Time.t;
-      (** how long one attempt waits for a response before
-          retransmitting (0 = never time out, the historical
-          behavior) *)
-  mutable backoff_base : Time.t;
-      (** first retransmission backoff; doubles per timeout *)
-  mutable backoff_cap : Time.t;  (** exponential backoff ceiling *)
-  mutable connect_tries : int;
-      (** rendezvous-connect attempts while the peer's server may not
-          be up yet *)
-  mutable connect_retry_delay : Time.t;  (** delay between those *)
-  mutable election_settle : Time.t;
-      (** how long a candidate waits for competing announcements before
-          concluding the election *)
-  mutable election_restart : Time.t;
-      (** how long a non-winner waits for the winner's takeover before
-          restarting the election *)
-  mutable election_retry_delay : Time.t;
-      (** delay before re-running an RPC that failed because the leader
-          died (an election is typically in flight) *)
-  mutable moved_tries : int;
-      (** retries of operations answered EMOVED / ECONNREFUSED while
-          ownership or leadership is in motion *)
-  mutable moved_retry_delay : Time.t;  (** delay between those *)
   (* --- fast-path caches (PR 4) --- *)
   mutable dcache : bool;  (** host VFS dentry cache *)
-  mutable dcache_capacity : int;
   mutable refmon_cache : bool;
       (** reference-monitor decision cache per (sandbox, class, path) *)
-  mutable refmon_cache_capacity : int;
   mutable handle_cache : bool;
       (** libOS fast path for repeat opens of the same canonical path *)
-  mutable handle_cache_capacity : int;
   mutable lease_ttl : Time.t;
       (** validity of an owner/pid lease from the moment it is cached;
           0 = leases never expire (pure invalidation-driven) *)
@@ -73,15 +39,6 @@ type t = {
   mutable coalesce : bool;
       (** merge back-to-back async releases / exit notifications to the
           same peer into one wire message *)
-  mutable coalesce_window : Time.t;
-      (** how long after an async notification follow-ups to the same
-          peer are batched instead of sent individually *)
-  (* --- unified coordination table (Coord) --- *)
-  mutable conflict_hints : bool;
-      (** when an operation reaches an instance that no longer holds
-          the resource but has a live forwarding lease, answer the
-          typed [R_conflict {holder; epoch}] instead of a bare EMOVED,
-          so the requester retries directly against the holder *)
   (* --- shared-memory semaphore fast path --- *)
   mutable sem_fastpath : bool;
       (** uncontended [semop] as a guest-side atomic on the owner's
@@ -105,34 +62,15 @@ type t = {
 let default () =
   { async_send = true;
     migrate_ownership = true;
-    migrate_threshold = 3;
     pid_batch = 50;
     cache_p2p = true;
     cache_owners = true;
-    rpc_tries = 3;
-    rpc_timeout = Time.ms 2.0;
-    backoff_base = Time.us 100.;
-    backoff_cap = Time.ms 1.6;
-    connect_tries = 40;
-    connect_retry_delay = Time.us 50.;
-    election_settle = Time.us 300.;
-    election_restart = Time.us 600.;
-    election_retry_delay = Time.ms 1.2;
-    moved_tries = 10;
-    moved_retry_delay = Time.us 60.;
     dcache = true;
-    dcache_capacity = 1024;
     refmon_cache = true;
-    refmon_cache_capacity = 512;
     handle_cache = true;
-    handle_cache_capacity = 256;
     lease_ttl = Time.ms 50.;
     lease_capacity = 512;
     coalesce = true;
-    (* wide enough that a guest-paced release burst (~1.5-2 us apart)
-       lands several notes per window; well under any RPC timeout *)
-    coalesce_window = Time.us 5.0;
-    conflict_hints = true;
     sem_fastpath = true;
     vdso = true;
     ring = true }
@@ -143,7 +81,6 @@ let naive () =
   { (default ()) with
     async_send = false;
     migrate_ownership = false;
-    migrate_threshold = max_int;
     pid_batch = 1;
     cache_p2p = false;
     cache_owners = false;
@@ -151,7 +88,6 @@ let naive () =
     refmon_cache = false;
     handle_cache = false;
     coalesce = false;
-    conflict_hints = false;
     sem_fastpath = false;
     vdso = false;
     ring = false }

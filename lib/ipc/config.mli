@@ -1,16 +1,16 @@
 (** Coordination-framework tuning knobs.
 
     Each flag corresponds to one of the §4.3 "lessons learned"
-    optimizations; the ablation benchmark toggles them individually to
-    reproduce the claimed effects (ownership migration bought ~10x on
-    remote receives; stream caching turns a ~2 ms first signal into
-    ~55 µs; batching keeps the leader off fork's critical path).
+    optimizations, or to one of the fast paths the cache, ring and web
+    benchmarks ablate; every field is toggled by a bench experiment
+    (EXPERIMENTS.md). The ablation benchmark reproduces the claimed
+    effects (ownership migration bought ~10x on remote receives;
+    stream caching turns a ~2 ms first signal into ~55 µs; batching
+    keeps the leader off fork's critical path).
 
-    The timing knobs name every delay the failure-handling machinery
-    waits on — RPC timeout, retransmission backoff, rendezvous retry,
-    election settle/restart — so the chaos benchmark and the fault
-    tests can tighten or stretch them without touching the framework.
-    Defaults reproduce the historical hard-coded values. *)
+    Values no experiment varies are constants next to their users: the
+    failure-handling delays in {!Instance}, the cache bounds in the VFS,
+    the reference monitor and libLinux. *)
 
 module Time = Graphene_sim.Time
 
@@ -21,56 +21,23 @@ type t = {
   mutable migrate_ownership : bool;
       (** migrate queues to their consumer / semaphores to their most
           frequent acquirer *)
-  mutable migrate_threshold : int;
-      (** consecutive remote operations before ownership moves *)
   mutable pid_batch : int;
       (** how many PIDs the leader hands out per allocation request *)
   mutable cache_p2p : bool;
       (** keep point-to-point streams open between RPCs *)
   mutable cache_owners : bool;
       (** cache name-to-owner resolutions (PID maps, queue owners) *)
-  mutable rpc_tries : int;
-      (** attempts per RPC before giving up (connect + response) *)
-  mutable rpc_timeout : Time.t;
-      (** how long one attempt waits for a response before
-          retransmitting the request — with the same sequence number,
-          so the handler side deduplicates. 0 disables timeouts (the
-          historical wait-forever behavior). *)
-  mutable backoff_base : Time.t;
-      (** first retransmission backoff; doubles per consecutive
-          timeout *)
-  mutable backoff_cap : Time.t;  (** exponential backoff ceiling *)
-  mutable connect_tries : int;
-      (** rendezvous-connect attempts while the peer's server may not
-          be up yet *)
-  mutable connect_retry_delay : Time.t;
-  mutable election_settle : Time.t;
-      (** how long a candidate waits for competing announcements before
-          concluding the election *)
-  mutable election_restart : Time.t;
-      (** how long a non-winner waits for the winner's takeover before
-          restarting the election *)
-  mutable election_retry_delay : Time.t;
-      (** delay before re-running an RPC that failed because the leader
-          died (an election is typically in flight) *)
-  mutable moved_tries : int;
-      (** retries of operations answered EMOVED / ECONNREFUSED while
-          ownership or leadership is in motion *)
-  mutable moved_retry_delay : Time.t;
   mutable dcache : bool;
       (** host VFS dentry cache: positive and negative lookups answered
           from a bounded hash table, invalidated on unlink / rename /
           create (docs/PERF.md) *)
-  mutable dcache_capacity : int;  (** entry bound; oldest evict *)
   mutable refmon_cache : bool;
       (** reference-monitor decision cache: memoized allow/deny per
           (sandbox, rule class, canonical path), flushed by manifest
           epoch bumps *)
-  mutable refmon_cache_capacity : int;
   mutable handle_cache : bool;
       (** libOS fast path: repeat opens of the same canonical path skip
           the duplicated path resolution *)
-  mutable handle_cache_capacity : int;
   mutable lease_ttl : Time.t;
       (** validity of a cached owner/pid resolution (a lease) from the
           moment it is cached; 0 = never expires, the historical
@@ -80,16 +47,6 @@ type t = {
   mutable coalesce : bool;
       (** merge back-to-back async releases / exit notifications to the
           same peer into one wire message *)
-  mutable coalesce_window : Time.t;
-      (** how long after an async notification later ones to the same
-          peer keep batching instead of going out individually *)
-  mutable conflict_hints : bool;
-      (** answer operations on a moved resource with the typed
-          [Wire.R_conflict {holder; epoch}] (from the {!Coord}
-          forwarding lease kept by the previous owner) instead of a
-          bare EMOVED, so the requester re-aims its lease and retries
-          directly against the holder — no leader round trip, no blind
-          backoff (docs/COORDINATION.md) *)
   mutable sem_fastpath : bool;
       (** futex-style System V semaphore fast path: an uncontended
           [semop] becomes a guest-side atomic on a shared sem page the
@@ -119,15 +76,14 @@ type t = {
 }
 
 val default : unit -> t
-(** Everything on: batch 50, migration threshold 3; RPC timeout 2 ms
-    with 100 µs→1.6 ms exponential backoff, 3 tries. *)
+(** Everything on: PID batch 50, 50 ms lease TTL, 512-entry lease
+    caches. *)
 
 val naive : unit -> t
 (** The starting point of §4.3's iteration: every coordination request
     is a synchronous RPC, no caching, no batching, no migration — and
     none of the fast-path caches, the semaphore fast path, the vDSO
-    page or the submission ring. The failure-handling knobs keep their
-    defaults. *)
+    page or the submission ring. *)
 
 val uncached : unit -> t
 (** Defaults with only the fast-path caches (dcache, refmon decision

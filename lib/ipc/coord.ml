@@ -2,10 +2,12 @@
 
     Implementation notes:
 
-    - The {!Leased} side of each namespace is a {!Lease} table (the
-      bounded TTL cache); the {!Held} side is a plain hash map — no
-      TTL, no capacity, because authoritative state must never decay
-      or evict.
+    - The {!Leased} side of each namespace is a {!Fifo_cache} of
+      owners, each stamped with the instant it was cached: an entry
+      older than the TTL is dead, and the first lookup that sees it
+      reaps it. The {!Held} side is a plain hash map — no TTL, no
+      capacity, because authoritative state must never decay or
+      evict.
     - Every transition funnels through {!emit}. The table performs no
       I/O, charges no virtual time and keeps no observer state, so a
       run with observers attached is byte-identical to one without.
@@ -14,6 +16,7 @@
       function of the operation history. *)
 
 module Time = Graphene_sim.Time
+module Fifo_cache = Graphene_sim.Fifo_cache
 
 type namespace = Sysv | Pid
 type kind = Held | Leased
@@ -41,22 +44,24 @@ type event =
   | Stall of { ns : namespace; dur : Time.t }
 
 type held_entry = { h_owner : string; h_tag : string }
+type lease = { owner : string; cached_at : Time.t }
 
 type side = {
-  leased : Lease.t;
+  leased : (int, lease) Fifo_cache.t;
   held : (int, held_entry) Hashtbl.t;
 }
 
 type t = {
   sysv : side;
   pid : side;
+  ttl : Time.t;  (** lease validity; 0 = invalidation-only *)
   mutable epoch : int;
   mutable observers : (event -> unit) list;  (** registration order *)
 }
 
 let create ~capacity ~ttl =
-  let side () = { leased = Lease.create ~capacity ~ttl; held = Hashtbl.create 8 } in
-  { sysv = side (); pid = side (); epoch = 0; observers = [] }
+  let side () = { leased = Fifo_cache.create ~capacity; held = Hashtbl.create 8 } in
+  { sysv = side (); pid = side (); ttl; epoch = 0; observers = [] }
 
 let side t = function Sysv -> t.sysv | Pid -> t.pid
 
@@ -64,6 +69,16 @@ let observe t f = t.observers <- t.observers @ [ f ]
 let emit t e = List.iter (fun f -> f e) t.observers
 
 let epoch t = t.epoch
+
+(* A lease expires strictly after [ttl]: a lookup at exactly
+   cached_at + ttl still hits. *)
+let live t ~now l = t.ttl <= Time.zero || Time.diff now l.cached_at <= t.ttl
+
+(* The live lease on [key], without reaping or reporting anything. *)
+let live_owner t s ~now key =
+  match Fifo_cache.find s.leased key with
+  | Some l when live t ~now l -> Some l.owner
+  | _ -> None
 
 (* {1 The sealed verbs} *)
 
@@ -95,17 +110,18 @@ let acquire t ~now ~ns ~key ~owner ?(kind = Leased) ?(tag = "") () =
          just a cache (invalidated), an expired one is reaped — either
          way the acquire lands atomically, so the stale holder is
          never answered (the TTL-expiry-vs-acquire race fix) *)
-      (match Lease.take s.leased ~now key with
-      | `Dropped _ -> emit t (Invalidate { ns; key })
-      | `Expired -> emit t (Expire { ns; key })
-      | `Absent -> ());
+      (match Fifo_cache.find s.leased key with
+      | Some l ->
+        ignore (Fifo_cache.remove s.leased key);
+        emit t (if live t ~now l then Invalidate { ns; key } else Expire { ns; key })
+      | None -> ());
       Hashtbl.replace s.held key { h_owner = owner; h_tag = tag };
       emit t (Acquire { ns; kind = Held; key; owner; tag });
       Acquired
     | Leased ->
       (* replace whatever lease was there: a newer resolution wins and
          the TTL clock restarts *)
-      (match Lease.put s.leased ~now key owner with
+      (match Fifo_cache.add s.leased key { owner; cached_at = now } with
       | Some evicted -> emit t (Evict { ns; key = evicted })
       | None -> ());
       emit t (Acquire { ns; kind = Leased; key; owner; tag });
@@ -127,15 +143,17 @@ let check t ~now ~ns ~key =
     emit t (Use { ns; kind = Held; key; owner = h.h_owner });
     Some h.h_owner
   | None -> (
-    match Lease.find s.leased ~now key with
-    | Lease.Hit v ->
-      emit t (Use { ns; kind = Leased; key; owner = v });
-      Some v
-    | Lease.Expired ->
+    match Fifo_cache.find s.leased key with
+    | Some l when live t ~now l ->
+      emit t (Use { ns; kind = Leased; key; owner = l.owner });
+      Some l.owner
+    | Some _ ->
+      (* dead: reaped on the spot, and still a miss to resolve *)
+      ignore (Fifo_cache.remove s.leased key);
       emit t (Expire { ns; key });
       emit t (Miss { ns; key });
       None
-    | Lease.Absent ->
+    | None ->
       emit t (Miss { ns; key });
       None)
 
@@ -143,16 +161,16 @@ let peek t ~now ~ns ~key =
   let s = side t ns in
   match Hashtbl.find_opt s.held key with
   | Some h -> Some h.h_owner
-  | None -> Lease.peek s.leased ~now key
+  | None -> live_owner t s ~now key
 
 let renew t ~now ~ns ~key =
   let s = side t ns in
   if Hashtbl.mem s.held key then true
   else
-    match Lease.peek s.leased ~now key with
-    | Some v ->
-      ignore (Lease.put s.leased ~now key v);
-      emit t (Acquire { ns; kind = Leased; key; owner = v; tag = "" });
+    match live_owner t s ~now key with
+    | Some owner ->
+      ignore (Fifo_cache.add s.leased key { owner; cached_at = now });
+      emit t (Acquire { ns; kind = Leased; key; owner; tag = "" });
       true
     | None -> false
 
@@ -165,10 +183,7 @@ let conflict_answer t ~now ~ns ~key ~requester =
   let resolved =
     match Hashtbl.find_opt s.held key with
     | Some h -> Some (h.h_owner, true)
-    | None -> (
-      match Lease.peek s.leased ~now key with
-      | Some v -> Some (v, false)
-      | None -> None)
+    | None -> Option.map (fun owner -> (owner, false)) (live_owner t s ~now key)
   in
   match resolved with
   | Some (holder, held) when holder <> requester ->
@@ -179,7 +194,7 @@ let conflict_answer t ~now ~ns ~key ~requester =
 
 let invalidate t ~ns ~key =
   let s = side t ns in
-  if Lease.remove s.leased key then begin
+  if Fifo_cache.remove s.leased key then begin
     emit t (Invalidate { ns; key });
     true
   end
@@ -190,12 +205,13 @@ let invalidate t ~ns ~key =
 let sweep t ~now ~reason =
   let wholesale ns =
     let s = side t ns in
-    let dropped = Lease.flush s.leased in
+    let dropped = Fifo_cache.length s.leased in
+    Fifo_cache.clear s.leased;
     emit t (Sweep { reason; ns; dropped })
   in
   let by_addr ns addr =
     let s = side t ns in
-    let keys = Lease.drop_matching s.leased (fun _ v -> v = addr) in
+    let keys = Fifo_cache.drop_matching s.leased (fun _ l -> l.owner = addr) in
     List.iter (fun key -> emit t (Invalidate { ns; key })) keys;
     emit t (Sweep { reason; ns; dropped = List.length keys })
   in
@@ -239,24 +255,29 @@ let adopt_epoch t ~now e =
 
 (* {1 Read-path telemetry} *)
 
-let note_stall t ~ns d =
-  Lease.note_stall (side t ns).leased d;
-  emit t (Stall { ns; dur = d })
-
-let stats t ~ns = Lease.stats (side t ns).leased
+let note_stall t ~ns d = emit t (Stall { ns; dur = d })
 
 (* {1 Introspection and inheritance} *)
 
-let leased_count t ~ns = Lease.length (side t ns).leased
+let leased_count t ~ns = Fifo_cache.length (side t ns).leased
 let held_count t ~ns = Hashtbl.length (side t ns).held
 
-let entries t ~now ~ns = Lease.entries (side t ns).leased ~now
+(* Expired-but-unreaped entries report 0 remaining and stay put. *)
+let entries t ~now ~ns =
+  Fifo_cache.fold
+    (fun k l acc ->
+      let remaining =
+        if t.ttl > Time.zero then max 0 (t.ttl - Time.diff now l.cached_at) else -1
+      in
+      (k, l.owner, remaining) :: acc)
+    (side t ns).leased []
+  |> List.sort compare
 
 let held_entries t ~ns =
   Hashtbl.fold (fun k { h_owner; h_tag } acc -> (k, h_owner, h_tag) :: acc) (side t ns).held []
   |> List.sort compare
 
-let export t ~ns = Lease.to_alist (side t ns).leased
+let export t ~ns = Fifo_cache.fold (fun k l acc -> (k, l.owner) :: acc) (side t ns).leased []
 
 let import t ~now ~ns alist =
   List.iter (fun (key, owner) -> ignore (acquire t ~now ~ns ~key ~owner ())) alist

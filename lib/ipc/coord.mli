@@ -16,8 +16,9 @@
       block an authoritative acquire — in particular an acquire
       landing on an {e expired-but-unswept} lease succeeds atomically
       rather than answering the stale holder.
-    - {b check / peek / renew} are the read path ({!Lease} is the
-      internal mechanism).
+    - {b check / peek / renew} are the read path: each namespace keeps
+      its leases in a {!Graphene_sim.Fifo_cache} (oldest evicts first)
+      stamped with the instant they were cached.
     - {b sweep} is the one crash-recovery lifecycle: re-election and
       isolation flush every lease ({!Epoch_change}, {!Isolation}), a
       dead peer's leases are dropped by address ({!Peer_death}), and a
@@ -124,7 +125,7 @@ val check : t -> now:Time.t -> ns:namespace -> key:int -> string option
     is dropped). *)
 
 val peek : t -> now:Time.t -> ns:namespace -> key:int -> string option
-(** Pure resolve: no stats, no events, no expiry side effect — for
+(** Pure resolve: no events, no expiry side effect — for
     observers (contention holder attribution, introspection). *)
 
 val renew : t -> now:Time.t -> ns:namespace -> key:int -> bool
@@ -169,11 +170,7 @@ val adopt_epoch : t -> now:Time.t -> int -> unit
 
 val note_stall : t -> ns:namespace -> Time.t -> unit
 (** A miss on [ns] turned into a blocking round trip of the given
-    virtual duration. *)
-
-val stats : t -> ns:namespace -> Lease.stats
-(** The lease cache's counters for one namespace (hits, misses,
-    expirations, evictions, invalidations, stalls). *)
+    virtual duration; reported as a {!Stall} event. *)
 
 (** {1 Introspection and inheritance} *)
 

@@ -11,7 +11,7 @@
     a message arrives), which keeps the helper deadlock-free.
 
     Failure handling: every request carries a per-sender sequence
-    number; requests outstanding past {!Config.t.rpc_timeout} are
+    number; requests outstanding past {!rpc_timeout} are
     retransmitted with the same number under capped exponential
     backoff, and {!Wire.Dedup} suppresses re-execution at the handler.
     A dead leader is detected by connect failure, refused streams or
@@ -26,6 +26,41 @@ module Stream = Graphene_host.Stream
 module Pal = Graphene_pal.Pal
 module Errno = Graphene_core.Errno
 module Contend = Graphene_obs.Contend
+
+(* {1 Timing constants}
+
+   Every delay the failure-handling machinery waits on, and the
+   migration and coalescing thresholds. No experiment varies them. *)
+
+let migrate_threshold = 3  (* consecutive remote operations before ownership moves *)
+let rpc_tries = 3  (* attempts per RPC before giving up (connect + response) *)
+
+(* how long one attempt waits for a response before retransmitting it
+   with the same sequence number (the handler side deduplicates) *)
+let rpc_timeout = Time.ms 2.0
+let backoff_base = Time.us 100.  (* first retransmission backoff; doubles per timeout *)
+let backoff_cap = Time.ms 1.6
+
+(* rendezvous-connect attempts, and the delay between them, while the
+   peer's server may not be up yet *)
+let connect_tries = 40
+let connect_retry_delay = Time.us 50.
+
+(* a candidate's wait for competing announcements; a non-winner's wait
+   for the takeover before restarting the election; the delay before
+   re-running an RPC whose leader died *)
+let election_settle = Time.us 300.
+let election_restart = Time.us 600.
+let election_retry_delay = Time.ms 1.2
+
+(* retries, and the delay between them, of operations answered EMOVED
+   or ECONNREFUSED while ownership or leadership is in motion *)
+let moved_tries = 10
+let moved_retry_delay = Time.us 60.
+
+(* wide enough that a guest-paced release burst (~1.5-2 us apart)
+   lands several notes per window; well under the RPC timeout *)
+let coalesce_window = Time.us 5.0
 
 type callbacks = {
   deliver_signal : signum:int -> from_pid:int -> to_pid:int -> bool;
@@ -249,7 +284,7 @@ let coord_disown t key = ignore (Coord.release t.coord ~ns:Coord.Sysv ~key)
    the requester re-aims and retries directly; otherwise the legacy
    errno the four call sites used. *)
 let moved_response t ~origin id fallback =
-  if t.cfg.Config.conflict_hints && t.cfg.Config.cache_owners then
+  if t.cfg.Config.cache_owners then
     match
       Coord.conflict_answer t.coord ~now:(vnow t) ~ns:Coord.Sysv ~key:id ~requester:origin
     with
@@ -558,12 +593,12 @@ and with_stream t addr k =
           if t.cfg.Config.cache_p2p then Hashtbl.replace t.streams addr h;
           k (Ok h)
         | Error Errno.ENOENT when tries > 0 && not t.shutdown ->
-          K.after (kernel t) t.cfg.Config.connect_retry_delay (fun () -> attempt (tries - 1))
+          K.after (kernel t) connect_retry_delay (fun () -> attempt (tries - 1))
         | Error e -> k (Error e))
     in
-    attempt t.cfg.Config.connect_tries
+    attempt connect_tries
 
-and rpc t ~addr req k = rpc_attempt t ~addr ~tries:t.cfg.Config.rpc_tries req k
+and rpc t ~addr req k = rpc_attempt t ~addr ~tries:rpc_tries req k
 
 and rpc_attempt t ~addr ~tries req k =
   if debug then
@@ -572,7 +607,7 @@ and rpc_attempt t ~addr ~tries req k =
      broadcast stream, then retry against whoever won *)
   let retry_after_election () =
     join_election t;
-    K.after (kernel t) t.cfg.Config.election_retry_delay (fun () ->
+    K.after (kernel t) election_retry_delay (fun () ->
         rpc_attempt t ~addr:t.leader_addr ~tries:(tries - 1) req k)
   in
   with_stream t addr (fun res ->
@@ -664,39 +699,35 @@ and rpc_attempt t ~addr ~tries req k =
    retransmissions against message loss and then wait, bounded, so a
    quiescent-but-blocked workload still lets the engine go idle. *)
 and arm_timeout t ~id ~req ~resend =
-  let cfg = t.cfg in
-  if cfg.Config.rpc_timeout > 0 then begin
-    let may_block =
-      match req with
-      | Wire.Msgq_recv _ -> true
-      | Wire.Sem_op { delta; _ } -> delta < 0
-      | _ -> false
-    in
-    let tracer = (kernel t).K.tracer in
-    let rec arm n backoff =
-      K.after (kernel t) (Time.add cfg.Config.rpc_timeout backoff) (fun () ->
-          if Hashtbl.mem t.pending id && not t.shutdown then begin
-            if n < cfg.Config.rpc_tries then begin
-              t.retransmits <- t.retransmits + 1;
-              if Obs.enabled tracer then Obs.count tracer "ipc.retransmits";
-              resend ();
-              let doubled = Time.add backoff backoff in
-              let base = cfg.Config.backoff_base in
-              let next = if doubled = 0 then base else min doubled cfg.Config.backoff_cap in
-              arm (n + 1) next
-            end
-            else if not may_block then begin
-              (match Hashtbl.find_opt t.pending id with
-              | Some (_, finish) ->
-                Hashtbl.remove t.pending id;
-                if Obs.enabled tracer then Obs.count tracer "ipc.timeouts";
-                finish (Wire.R_err Errno.ETIMEDOUT)
-              | None -> ())
-            end
-          end)
-    in
-    arm 1 Time.zero
-  end
+  let may_block =
+    match req with
+    | Wire.Msgq_recv _ -> true
+    | Wire.Sem_op { delta; _ } -> delta < 0
+    | _ -> false
+  in
+  let tracer = (kernel t).K.tracer in
+  let rec arm n backoff =
+    K.after (kernel t) (Time.add rpc_timeout backoff) (fun () ->
+        if Hashtbl.mem t.pending id && not t.shutdown then begin
+          if n < rpc_tries then begin
+            t.retransmits <- t.retransmits + 1;
+            if Obs.enabled tracer then Obs.count tracer "ipc.retransmits";
+            resend ();
+            let doubled = Time.add backoff backoff in
+            let next = if doubled = 0 then backoff_base else min doubled backoff_cap in
+            arm (n + 1) next
+          end
+          else if not may_block then begin
+            match Hashtbl.find_opt t.pending id with
+            | Some (_, finish) ->
+              Hashtbl.remove t.pending id;
+              if Obs.enabled tracer then Obs.count tracer "ipc.timeouts";
+              finish (Wire.R_err Errno.ETIMEDOUT)
+            | None -> ()
+          end
+        end)
+  in
+  arm 1 Time.zero
 
 (* Send coalescing (loss-tolerant classes only): the first notification
    of a burst to a peer goes out immediately and opens that peer's
@@ -716,7 +747,7 @@ and oneway t ~addr n =
     | None ->
       oneway_now t ~addr n;
       Hashtbl.replace t.coalesce_buf addr (ref []);
-      K.after (kernel t) t.cfg.Config.coalesce_window (fun () -> flush_coalesced t ~addr))
+      K.after (kernel t) coalesce_window (fun () -> flush_coalesced t ~addr))
   | _ -> oneway_now t ~addr n
 
 and flush_coalesced t ~addr =
@@ -850,7 +881,7 @@ and handle_request t ep ~origin reqid req =
       let n = 1 + Option.value ~default:0 (Hashtbl.find_opt q.recv_stats requester) in
       Hashtbl.replace q.recv_stats requester n;
       let migrate =
-        t.cfg.Config.migrate_ownership && n >= t.cfg.Config.migrate_threshold
+        t.cfg.Config.migrate_ownership && n >= migrate_threshold
       in
       if migrate then begin
         (* grant ownership: answer the receive and ship the rest; a
@@ -893,7 +924,7 @@ and handle_request t ep ~origin reqid req =
         let n = 1 + Option.value ~default:0 (Hashtbl.find_opt s.acq_stats requester) in
         Hashtbl.replace s.acq_stats requester n;
         let migrate =
-          t.cfg.Config.migrate_ownership && n >= t.cfg.Config.migrate_threshold
+          t.cfg.Config.migrate_ownership && n >= migrate_threshold
         in
         if migrate && sem_value s > 0 && s.swaiters = [] then begin
           (* the acquire succeeds and the semaphore moves to the
@@ -1044,7 +1075,7 @@ and join_election t =
     audit t Audit.Election ~action:"candidate" [ ("pid", Obs.Aint t.my_pid) ];
     broadcast_oneway t (Wire.Leader_candidate { pid = t.my_pid; addr = t.my_addr });
     let t0 = vnow t in
-    K.after (kernel t) t.cfg.Config.election_settle (fun () ->
+    K.after (kernel t) election_settle (fun () ->
         (* the settle window is dead time every participant pays *)
         Contend.record_wait (contend t) ~pid:(host_pid t)
           ~resource:"ipc.wait.election:settle" ~start:t0 (vnow t);
@@ -1078,7 +1109,7 @@ and conclude_election t =
       (* wait for the winner's announcement a little longer; if it
          never comes (it also died, or its candidacy was dropped on the
          wire), restart with a fresh candidacy broadcast *)
-      K.after (kernel t) t.cfg.Config.election_restart (fun () ->
+      K.after (kernel t) election_restart (fun () ->
           if t.electing then begin
             t.electing <- false;
             t.candidates <- [];
@@ -1575,7 +1606,7 @@ let with_retry t ~id op k =
         | _ ->
           ignore (Coord.invalidate t.coord ~ns:Coord.Sysv ~key:id);
           let t0 = vnow t in
-          K.after (kernel t) t.cfg.Config.moved_retry_delay (fun () ->
+          K.after (kernel t) moved_retry_delay (fun () ->
               (* the backoff is blocked time charged to the retry path,
                  not to the resource that moved *)
               Contend.record_wait (contend t) ~pid:(host_pid t) ~resource:"ipc.wait.retry"
@@ -1583,7 +1614,7 @@ let with_retry t ~id op k =
               attempt (tries - 1)))
       | r -> k r)
   in
-  attempt t.cfg.Config.moved_tries
+  attempt moved_tries
 
 let rec msgsnd t ~id ~data k = with_retry t ~id (msgsnd_once t ~id ~data) k
 

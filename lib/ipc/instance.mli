@@ -20,7 +20,7 @@
 
     Failure handling (the chaos-testing surface): requests carry
     per-sender sequence numbers and are retransmitted with capped
-    exponential backoff after {!Config.t.rpc_timeout}; receivers
+    exponential backoff after a 2 ms timeout; receivers
     deduplicate via {!Wire.Dedup}, so retries are idempotent; RPCs
     against a dead leader trigger re-election and are retried against
     the winner. All errors are typed {!Graphene_core.Errno.t} — the

@@ -140,29 +140,17 @@ let describe = function
    plausible retransmission window. *)
 
 module Dedup = struct
+  module Fifo_cache = Graphene_sim.Fifo_cache
+
   type entry = In_flight | Done of response
+  type t = { seen : (string * int, entry) Fifo_cache.t; mutable suppressed : int }
 
-  type t = {
-    tbl : (string * int, entry) Hashtbl.t;
-    order : (string * int) Queue.t;
-    capacity : int;
-    mutable suppressed : int;
-  }
-
-  let create ?(capacity = 512) () =
-    { tbl = Hashtbl.create 64; order = Queue.create (); capacity; suppressed = 0 }
-
-  let remember t key entry =
-    if not (Hashtbl.mem t.tbl key) then begin
-      Queue.push key t.order;
-      if Queue.length t.order > t.capacity then
-        Hashtbl.remove t.tbl (Queue.pop t.order)
-    end;
-    Hashtbl.replace t.tbl key entry
+  let create () = { seen = Fifo_cache.create ~capacity:512; suppressed = 0 }
+  let remember t key entry = ignore (Fifo_cache.add t.seen key entry)
 
   let begin_request t ~origin ~seq =
     let key = (origin, seq) in
-    match Hashtbl.find_opt t.tbl key with
+    match Fifo_cache.find t.seen key with
     | None ->
       remember t key In_flight;
       `Execute
@@ -179,7 +167,7 @@ module Dedup = struct
 
   let seen_oneway t ~origin ~seq =
     let key = (origin, seq) in
-    if Hashtbl.mem t.tbl key then begin
+    if Fifo_cache.mem t.seen key then begin
       t.suppressed <- t.suppressed + 1;
       true
     end
@@ -189,5 +177,5 @@ module Dedup = struct
     end
 
   let suppressed t = t.suppressed
-  let length t = Hashtbl.length t.tbl
+  let length t = Fifo_cache.length t.seen
 end

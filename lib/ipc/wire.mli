@@ -60,8 +60,8 @@ type notification =
           leader can reconstruct its tables *)
   | Batch of notification list
       (** back-to-back loss-tolerant notifications to one peer,
-          coalesced into a single wire message within
-          {!Config.t.coalesce_window}; the receiver applies them in
+          coalesced into a single wire message within a 5 µs
+          window; the receiver applies them in
           order. Only loss-tolerant classes (semaphore releases, exit
           notifications) ride in batches, so a dropped batch is
           recovered the same way a dropped singleton is. *)
@@ -122,9 +122,9 @@ val describe : envelope -> string
 module Dedup : sig
   type t
 
-  val create : ?capacity:int -> unit -> t
-  (** Bounded FIFO cache; [capacity] (default 512) is the number of
-      remembered (origin, seq) keys. *)
+  val create : unit -> t
+  (** Remembers the 512 most recent (origin, seq) keys in a
+      {!Graphene_sim.Fifo_cache}. *)
 
   val begin_request : t -> origin:string -> seq:int -> [ `Execute | `Drop | `Replay of response ]
   (** First sighting: [`Execute] (and the key is marked in flight).

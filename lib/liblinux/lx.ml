@@ -152,11 +152,10 @@ type t = {
           them) *)
   mutable alarm_seq : int;  (** cancels superseded alarm timers *)
   mutable umask : int;
-  path_cache : (string, unit) Hashtbl.t;
+  path_cache : (string, unit) Fifo_cache.t;
       (** canonical paths this libOS resolved before: a warm repeat
           open/stat reuses the cached dentry + decision and skips the
           duplicated path resolution (gated by [cfg.handle_cache]) *)
-  path_order : string Queue.t;  (** insertion order; oldest evicts *)
 }
 
 let kernel lx = Pal.kernel lx.pal
@@ -300,37 +299,23 @@ let lx_count lx name =
   let tracer = (kernel lx).K.tracer in
   if Obs.enabled tracer then Obs.count tracer name
 
+let handle_cache_capacity = 256
+
 let path_hit_cost lx path =
   if not lx.cfg.Ipc_config.handle_cache then Cost.libos_path_resolution
-  else if Hashtbl.mem lx.path_cache path then begin
+  else if Fifo_cache.mem lx.path_cache path then begin
     lx_count lx "liblinux.handle_cache.hit";
     Cost.libos_path_fast
   end
   else begin
     lx_count lx "liblinux.handle_cache.miss";
-    if Hashtbl.length lx.path_cache >= max 1 lx.cfg.Ipc_config.handle_cache_capacity then begin
-      let rec evict () =
-        if not (Queue.is_empty lx.path_order) then begin
-          let k = Queue.pop lx.path_order in
-          if Hashtbl.mem lx.path_cache k then begin
-            Hashtbl.remove lx.path_cache k;
-            lx_count lx "liblinux.handle_cache.evict"
-          end
-          else evict ()
-        end
-      in
-      evict ()
-    end;
-    Hashtbl.replace lx.path_cache path ();
-    Queue.push path lx.path_order;
+    if Fifo_cache.add lx.path_cache path () <> None then
+      lx_count lx "liblinux.handle_cache.evict";
     Cost.libos_path_resolution
   end
 
 let path_cache_invalidate lx path =
-  if Hashtbl.mem lx.path_cache path then begin
-    Hashtbl.remove lx.path_cache path;
-    lx_count lx "liblinux.handle_cache.invalidate"
-  end
+  if Fifo_cache.remove lx.path_cache path then lx_count lx "liblinux.handle_cache.invalidate"
 
 (* {1 vDSO page}
 
@@ -545,8 +530,7 @@ let make ~pal ~cfg ~pid ~ppid ~pgid ~parent_addr ~exe =
     trace_open = Hashtbl.create 4;
     alarm_seq = 0;
     umask = 0o022;
-    path_cache = Hashtbl.create 32;
-    path_order = Queue.create () }
+    path_cache = Fifo_cache.create ~capacity:handle_cache_capacity }
 
 let callbacks_of lx =
   { Ipc.deliver_signal =

@@ -102,11 +102,10 @@ type t = {
           them) *)
   mutable alarm_seq : int;  (** cancels superseded alarm timers *)
   mutable umask : int;
-  path_cache : (string, unit) Hashtbl.t;
+  path_cache : (string, unit) Fifo_cache.t;
       (** canonical paths this libOS resolved before: a warm repeat
           open/stat reuses the cached dentry + decision and skips the
           duplicated path resolution (gated by [cfg.handle_cache]) *)
-  path_order : string Queue.t;  (** insertion order; oldest evicts *)
 }
 
 (** {1 Accessors} *)

@@ -16,18 +16,12 @@ module K = Graphene_host.Kernel
 module Lx = Graphene_liblinux.Lx
 module Seccomp = Graphene_bpf.Seccomp
 module Ipc_config = Graphene_ipc.Config
+module Fifo_cache = Graphene_sim.Fifo_cache
 
 type violation = {
   v_pid : int;  (** host picoprocess id *)
   v_sandbox : int;
   v_what : string;
-}
-
-type cache_stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
 }
 
 (* Decision-cache key: which sandbox asked, for what access class, on
@@ -44,12 +38,11 @@ type t = {
   own_filter : Graphene_bpf.Prog.t;
   mutable launches : int;
   mutable cache_enabled : bool;
-  mutable cache_capacity : int;
-  decisions : (int * char * string, int * string) Hashtbl.t;
-  dec_order : (int * char * string) Queue.t;
+  decisions : (int * char * string, int * string) Fifo_cache.t;
   epochs : (int, int) Hashtbl.t;  (** sandbox -> manifest epoch *)
-  dec_stats : cache_stats;
 }
+
+let cache_capacity = 512
 
 let violations t = List.rev t.violations
 let clear_violations t = t.violations <- []
@@ -67,41 +60,11 @@ let sandbox_epoch t ~sandbox = epoch_of t sandbox
    it is stale from this instant. *)
 let bump_epoch t sandbox =
   Hashtbl.replace t.epochs sandbox (epoch_of t sandbox + 1);
-  t.dec_stats.invalidations <- t.dec_stats.invalidations + 1;
   cache_count t "refmon.cache.invalidate"
 
-let dec_evict t =
-  let rec pop () =
-    if not (Queue.is_empty t.dec_order) then begin
-      let k = Queue.pop t.dec_order in
-      if Hashtbl.mem t.decisions k then begin
-        Hashtbl.remove t.decisions k;
-        t.dec_stats.evictions <- t.dec_stats.evictions + 1;
-        cache_count t "refmon.cache.evict"
-      end
-      else pop ()
-    end
-  in
-  pop ()
-
-let dec_fill t key v =
-  if not (Hashtbl.mem t.decisions key) then begin
-    if Hashtbl.length t.decisions >= t.cache_capacity then dec_evict t;
-    Queue.push key t.dec_order
-  end;
-  Hashtbl.replace t.decisions key v
-
-let configure_cache t ~enabled ~capacity =
+let configure_cache t ~enabled =
   t.cache_enabled <- enabled;
-  t.cache_capacity <- max 1 capacity;
-  if not enabled then begin
-    Hashtbl.reset t.decisions;
-    Queue.clear t.dec_order
-  end
-
-let cache_stats t =
-  let s = t.dec_stats in
-  { hits = s.hits; misses = s.misses; evictions = s.evictions; invalidations = s.invalidations }
+  if not enabled then Fifo_cache.clear t.decisions
 
 let access_char = function `Read -> 'r' | `Write -> 'w' | `Exec -> 'x'
 
@@ -166,19 +129,18 @@ let lsm_of t =
           let sandbox = pico.K.sandbox in
           let key = (sandbox, access_char access, path) in
           let epoch = epoch_of t sandbox in
-          match Hashtbl.find_opt t.decisions key with
+          match Fifo_cache.find t.decisions key with
           | Some (e, rule) when e = epoch ->
-            t.dec_stats.hits <- t.dec_stats.hits + 1;
             cache_count t "refmon.cache.hit";
             if auditing t then
               audit_allow t pico ~target:(path_target path access) ~rule ~cached:true;
             true
           | _ -> (
-            t.dec_stats.misses <- t.dec_stats.misses + 1;
             cache_count t "refmon.cache.miss";
             match check_path_rule t pico path access with
             | Some rule ->
-              dec_fill t key (epoch, rule);
+              if Fifo_cache.add t.decisions key (epoch, rule) <> None then
+                cache_count t "refmon.cache.evict";
               true
             | None -> false)
         end);
@@ -186,7 +148,7 @@ let lsm_of t =
       (fun pico path access ->
         t.cache_enabled
         &&
-        match Hashtbl.find_opt t.decisions (pico.K.sandbox, access_char access, path) with
+        match Fifo_cache.find t.decisions (pico.K.sandbox, access_char access, path) with
         | Some (e, _) -> e = epoch_of t pico.K.sandbox
         | _ -> false);
     check_net =
@@ -237,11 +199,8 @@ let install kernel =
       own_filter = Seccomp.monitor_filter ();
       launches = 0;
       cache_enabled = false;
-      cache_capacity = 512;
-      decisions = Hashtbl.create 64;
-      dec_order = Queue.create ();
-      epochs = Hashtbl.create 8;
-      dec_stats = { hits = 0; misses = 0; evictions = 0; invalidations = 0 } }
+      decisions = Fifo_cache.create ~capacity:cache_capacity;
+      epochs = Hashtbl.create 8 }
   in
   K.set_lsm kernel (lsm_of t);
   t

@@ -28,21 +28,12 @@ val install : K.t -> t
     sandbox's manifest view (launch, {!bind_sandbox}, a sandbox split)
     bumps that sandbox's epoch and makes its entries stale at once.
     Denials are never cached — every one must reach the audit log.
-    Off until configured (docs/PERF.md). *)
+    At most 512 entries; the oldest evicts first. Off until configured
+    (docs/PERF.md). Hits, misses, evictions and epoch bumps count as
+    the kernel tracer's [refmon.cache.*] counters. *)
 
-type cache_stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
-}
-
-val configure_cache : t -> enabled:bool -> capacity:int -> unit
-(** Enable/disable and bound the decision cache; disabling flushes. *)
-
-val cache_stats : t -> cache_stats
-(** A snapshot copy of the counters ([invalidations] counts epoch
-    bumps). *)
+val configure_cache : t -> enabled:bool -> unit
+(** Enable or disable the decision cache; disabling flushes. *)
 
 val sandbox_epoch : t -> sandbox:int -> int
 (** The sandbox's current manifest epoch (0 until first bound). *)

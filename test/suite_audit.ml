@@ -179,7 +179,7 @@ let monitored_kernel () =
   let k = K.create () in
   Audit.enable k.K.audit;
   let mon = Monitor.install k in
-  Monitor.configure_cache mon ~enabled:true ~capacity:64;
+  Monitor.configure_cache mon ~enabled:true;
   let sbx = K.fresh_sandbox k in
   let pico = K.spawn k ~sandbox:sbx ~exe:"/bin/x" () in
   Monitor.bind_sandbox mon ~sandbox:sbx ~manifest:(manifest_of "fs.allow r /lib\n");
@@ -191,10 +191,12 @@ let refmon_events k =
 let arg e name = List.assoc_opt name e.Audit.e_args
 
 let test_cached_allow_keeps_provenance () =
-  let k, mon, pico = monitored_kernel () in
+  let k, _mon, pico = monitored_kernel () in
+  Obs.enable k.K.tracer;
   check_bool "allowed (fills)" true (k.K.lsm.K.check_path pico "/lib/libc.so" `Read);
   check_bool "allowed (cached)" true (k.K.lsm.K.check_path pico "/lib/libc.so" `Read);
-  check_bool "second check hit the cache" true ((Monitor.cache_stats mon).Monitor.hits > 0);
+  check_bool "second check hit the cache" true
+    (Obs.counter_value k.K.tracer "refmon.cache.hit" > 0);
   match refmon_events k with
   | [ first; second ] ->
     check_str "first allows" "allow" first.Audit.e_action;

@@ -7,10 +7,10 @@
 
 open Util
 module Coord = Graphene_ipc.Coord
-module Config = Graphene_ipc.Config
 module Obs = Graphene_obs.Obs
 module Audit = Graphene_obs.Audit
 module Invariant = Graphene_obs.Invariant
+module Contend = Graphene_obs.Contend
 module Fault = Graphene_sim.Fault
 
 let mk ?(ttl = T.us 10.) () = Coord.create ~capacity:8 ~ttl
@@ -247,15 +247,6 @@ let test_conflict_hint_end_to_end () =
   check_bool "disown audited" true (List.exists (fun e -> e.Audit.e_action = "disown") migr);
   check_int "no invariant violated" 0 (Invariant.total (W.invariants r.w))
 
-let test_conflict_hints_off_still_recovers () =
-  (* same run with the hints disabled: the stale operation falls back
-     to the legacy EMOVED retry loop and still completes *)
-  let cfg = Config.default () in
-  cfg.Config.conflict_hints <- false;
-  let r, tracer = run_conflict ~cfg () in
-  expect_exit r;
-  check_int "no typed conflicts" 0 (Obs.counter_value tracer "ipc.coord.conflict")
-
 (* {1 End-to-end: crash sweep under chaos}
 
    A leader-kill storm with message loss and duplication. After the
@@ -398,13 +389,20 @@ let test_holder_crash_sweeps_clean () =
       ~setup:(fun w ->
         kernel := Some (W.kernel w);
         Obs.enable (W.tracer w);
-        Audit.enable (W.audit w))
+        Audit.enable (W.audit w);
+        Contend.enable (W.contend w))
       holder_crash_prog
   in
   check_bool "the crash happened" true !crashed;
   expect_console_contains "survivor done" r;
   (* the post-crash retry answered EIDRM, the reaped-resource error *)
   expect_console_contains "retry=-43" r;
+  (* the semop to the dead owner was refused, and with no forwarding
+     lease to follow the retry loop dropped the cached owner and backed
+     off before re-resolving *)
+  (match Contend.resource_stats (W.contend r.w) "ipc.wait.retry" with
+  | Some (n, _, _) -> check_bool "invalidate-and-backoff retry ran" true (n > 0)
+  | None -> Alcotest.fail "no ipc.wait.retry wait: the backoff retry never ran");
   expect_exit r;
   let k = W.kernel r.w in
   (* the dead owner's page is gone from every sandbox slot *)
@@ -458,7 +456,6 @@ let suite =
     case "epoch bumps are monotone and sweep" test_epoch_machinery;
     case "fork export excludes authority" test_export_import;
     case "typed conflict after migration (end-to-end)" test_conflict_hint_end_to_end;
-    case "hints off: legacy retry still recovers" test_conflict_hints_off_still_recovers;
     case "leader-kill chaos leaves zero stale entries" test_leader_kill_sweeps_clean;
     case "sem holder crash sweeps page and leases" test_holder_crash_sweeps_clean;
     case "same seed: byte-identical audit JSONL" test_same_seed_identical_audit ]
