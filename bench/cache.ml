@@ -10,11 +10,11 @@
       from an instrumented run (graphene.obs counters), including the
       IPC owner-lease caches and send coalescing.
 
-    Doubles as the CI gate: the run fails (non-zero exit from the
-    driver) if the warm open/close hit rate of any fast-path cache
-    drops below 90%, if caches-on is slower than caches-off on any
-    Table 6 row, or if the warm Graphene+RM open/close speedup falls
-    under 2x. Linux/KVM rows are omitted by construction: the native
+    Self-checks ({!Harness.gate}): the warm open/close hit rate of
+    every fast-path cache is at least 90%, caches-on is no slower than
+    caches-off on any Table 6 row, the warm Graphene+RM open/close
+    speedup is at least 2x, and at least half the pid-lease lookups
+    hit. Linux/KVM rows are omitted by construction: the native
     baseline charges fixed host costs and never consults the caches. *)
 
 module W = Graphene.World
@@ -25,9 +25,6 @@ module Table = Graphene_sim.Table
 module Config = Graphene_ipc.Config
 module B = Graphene_guest.Builder
 module Loader = Graphene_liblinux.Loader
-
-let failures : string list ref = ref []
-let gate fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt
 
 let record1 ~unit name v =
   let s = Stats.create () in
@@ -42,6 +39,7 @@ let onoff ~full =
       ~headers:[ "Test"; "Graphene on"; "off"; "x"; "G+RM on"; "off"; "x" ]
   in
   let n = if full then 4 else 2 in
+  let slower = ref [] in
   List.iter
     (fun (name, exe, iters) ->
       let cells =
@@ -63,11 +61,11 @@ let onoff ~full =
             (* same seeds on both sides, so the comparison needs only a
                small tolerance for rows the caches cannot touch *)
             if m_on > (m_off *. 1.02) +. 0.005 then
-              gate "caches-on slower than caches-off on %s/%s: %.3f vs %.3f us" name sname
-                m_on m_off;
-            if name = "open/close" && stack = W.Graphene_rm && m_off < 2.0 *. m_on then
-              gate "warm open/close (G+RM) speedup %.2fx < 2x (on %.3f us, off %.3f us)"
-                (m_off /. m_on) m_on m_off;
+              slower := Printf.sprintf "%s/%s %.3f vs %.3f us" name sname m_on m_off :: !slower;
+            if name = "open/close" && stack = W.Graphene_rm then
+              Harness.gate "cache.openclose_2x" (m_off >= 2.0 *. m_on)
+                (Printf.sprintf "G+RM %.2fx (on %.3f us, off %.3f us)" (m_off /. m_on) m_on
+                   m_off);
             [ Printf.sprintf "%.2f" m_on;
               Printf.sprintf "%.2f" m_off;
               Printf.sprintf "%.2fx" (if m_on > 0. then m_off /. m_on else 0.) ])
@@ -76,6 +74,10 @@ let onoff ~full =
       Table.add_row t (name :: cells))
     (Table6.rows ~full);
   Table.print t;
+  Harness.gate "cache.on_not_slower" (!slower = [])
+    (match !slower with
+    | [] -> "every Table 6 row"
+    | rows -> "slower: " ^ String.concat "; " (List.rev rows));
   print_newline ()
 
 (* {1 Cold vs warm open/close}
@@ -146,8 +148,8 @@ let path_cache_rates ~full =
           Printf.sprintf "%.0f" (c (prefix ^ ".invalidate"));
           Printf.sprintf "%.1f%%" (r *. 100.) ];
       record1 ~unit:"ratio" ("cache/hitrate/" ^ prefix) r;
-      if r < 0.9 then
-        gate "warm open/close hit rate of %s is %.1f%% < 90%%" prefix (r *. 100.))
+      Harness.gate ("cache.hitrate." ^ prefix) (r >= 0.9)
+        (Printf.sprintf "warm open/close %.1f%% (floor 90%%)" (r *. 100.)))
     [ ("VFS dcache", c "vfs.dcache.hit" +. c "vfs.dcache.neg_hit", "vfs.dcache");
       ("refmon decisions", c "refmon.cache.hit", "refmon.cache");
       ("libOS handles", c "liblinux.handle_cache.hit", "liblinux.handle_cache") ];
@@ -209,19 +211,11 @@ let lease_rates () =
   record1 ~unit:"ratio" "cache/hitrate/ipc.lease.owner" owner_rate;
   record1 ~unit:"msgs" "cache/ipc.coalesced" (c "ipc.coalesced");
   record1 ~unit:"msgs" "cache/ipc.batches" (c "ipc.batches");
-  if pid_rate < 0.5 then
-    gate "pid lease hit rate %.1f%% < 50%% — leases are not being reused" (pid_rate *. 100.)
+  Harness.gate "cache.pid_lease_reuse" (pid_rate >= 0.5)
+    (Printf.sprintf "%.1f%% hits (floor 50%%)" (pid_rate *. 100.))
 
 let run ?(full = true) () =
-  failures := [];
   onoff ~full;
   cold_warm ~full;
   path_cache_rates ~full;
-  lease_rates ();
-  (match !failures with
-  | [] -> Printf.printf "  cache gates: all passed\n\n"
-  | fs ->
-    Printf.printf "  cache gates: %d FAILED\n" (List.length fs);
-    List.iter (fun f -> Printf.printf "    FAIL: %s\n" f) (List.rev fs);
-    print_newline ());
-  !failures = []
+  lease_rates ()

@@ -14,15 +14,18 @@
     - recovery time: virtual ns from the leader kill to that first
       served RPC (the [ipc.recovery_ns] observation)
 
-    A run that neither completes nor recovers counts as [unrecovered];
-    the CI chaos smoke fails if any appear at the fixed seed set.
+    A run that neither completes nor recovers counts as [unrecovered].
 
     Every run also records with the audit plane enabled, so the online
     invariant monitors (docs/AUDIT.md) check each coordination event as
     it happens: faults may delay recovery, but they must never produce
     a double owner, a cross-sandbox delivery, a stale-lease use or an
-    epoch rollback. The sweep reports the violation count and the CI
-    audit smoke requires it to be zero. *)
+    epoch rollback.
+
+    Self-checks ({!Harness.gate}), over the whole sweep: zero
+    unrecovered runs ([chaos.unrecovered]), zero invariant violations
+    ([chaos.invariant_violations]) and zero stale lease entries left at
+    live instances ([chaos.stale_leases]). *)
 
 module W = Graphene.World
 module K = Graphene_host.Kernel
@@ -168,8 +171,9 @@ let run ?(full = true) () =
         (Stats.of_list (List.map (fun o -> float_of_int o.stale) outs)))
     rates;
   Table.print tbl;
-  Printf.printf "\nunrecovered runs: %d\n" !unrecovered_total;
-  Printf.printf "invariant violations: %d (over %d audited events)\n%!" !violations_total
-    !checked_total;
-  Printf.printf "stale leases: %d\n%!" !stale_total;
-  !unrecovered_total
+  Harness.gate "chaos.unrecovered" (!unrecovered_total = 0)
+    (Printf.sprintf "%d unrecovered runs" !unrecovered_total);
+  Harness.gate "chaos.invariant_violations" (!violations_total = 0)
+    (Printf.sprintf "%d violations over %d audited events" !violations_total !checked_total);
+  Harness.gate "chaos.stale_leases" (!stale_total = 0)
+    (Printf.sprintf "%d stale leases at live instances" !stale_total)

@@ -10,15 +10,16 @@
     Workloads:
     - sigstorm: two children exchanging SIGUSR1 through the leader
     - sysv_interproc: a producer/consumer pair on a remote message queue
-    - web_farm: lighttpd worker pool under loadgen requests
+    - web_farm: preforked apache workers under loadgen requests
     - fig5_rpc: the Figure 5 RPC ping-pong pair, re-run with the plane
       on so the sweep's leader share is first-class
 
-    Self-gates (CI contend smoke; either failure exits nonzero):
-    - attribution: >= 95% of blocked virtual time lands on a named
-      resource in every run ([contend.coverage.*])
-    - determinism: the full contention report of a fixed-seed run is
-      byte-identical across two runs *)
+    Self-checks ({!Harness.gate}):
+    - attribution ([contend.attribution.*]): every run records at
+      least one wait, and >= 95% of its blocked virtual time lands on
+      a named resource — a run that never waits measures nothing
+    - determinism ([contend.deterministic]): the full contention
+      report of a fixed-seed run is byte-identical across two runs *)
 
 module W = Graphene.World
 module K = Graphene_host.Kernel
@@ -62,22 +63,23 @@ let app_run ~seed ~exe ~argv =
   W.run w;
   collect w
 
-(* lighttpd worker pool under load — the web-farm story: workers
-   contend on the coordination layer while serving requests. *)
+(* Preforked apache under load — the web-farm story: the worker
+   processes serialize accepts on a SysV semaphore, so they contend on
+   the coordination layer while serving requests. *)
 let web_run ~seed ~requests ~concurrency =
   let w = W.create ~seed W.Graphene in
   Cd.enable (W.contend w);
   let client = W.client_pico w in
   let started = ref false in
   let hook s =
-    if (not !started) && Util_contains.contains s "lighttpd ready" then begin
+    if (not !started) && Util_contains.contains s "apache ready" then begin
       started := true;
       ignore
         (Apps.Loadgen.run (W.kernel w) ~client ~port:8080 ~path:"/index.html" ~requests
            ~concurrency (fun _ -> ()))
     end
   in
-  ignore (W.start w ~console_hook:hook ~exe:"/bin/lighttpd" ~argv:[ "8080"; "4" ] ());
+  ignore (W.start w ~console_hook:hook ~exe:"/bin/apache" ~argv:[ "8080"; "4"; "plain" ] ());
   W.run w;
   collect w
 
@@ -119,7 +121,6 @@ let run ?(full = true) () =
         [ "workload"; "runs"; "blocked (us)"; "waits"; "attributed"; "leader share";
           "convoys"; "advisories" ]
   in
-  let gate_ok = ref true in
   List.iter
     (fun (name, f) ->
       let outs = List.map f seeds in
@@ -128,11 +129,11 @@ let run ?(full = true) () =
       let coverage = stat (fun o -> o.coverage) in
       let leader = stat (fun o -> o.leader_share) in
       let worst_cov = List.fold_left (fun a o -> min a o.coverage) 1.0 outs in
-      if worst_cov < coverage_floor then begin
-        gate_ok := false;
-        Printf.printf "  GATE: %s attributed only %.1f%% of blocked time (floor %.0f%%)\n"
-          name (100. *. worst_cov) (100. *. coverage_floor)
-      end;
+      let idle = List.length (List.filter (fun o -> o.waits = 0) outs) in
+      Harness.gate ("contend.attribution." ^ name)
+        (idle = 0 && worst_cov >= coverage_floor)
+        (Printf.sprintf "worst run %.1f%% attributed (floor %.0f%%), %d runs without a wait"
+           (100. *. worst_cov) (100. *. coverage_floor) idle);
       let sum g = List.fold_left (fun a o -> a + g o) 0 outs in
       Table.add_row tbl
         [ name;
@@ -157,15 +158,4 @@ let run ?(full = true) () =
   let seed = List.hd seeds in
   let r1 = (app_run ~seed ~exe:"/bin/sigstorm" ~argv:[]).report in
   let r2 = (app_run ~seed ~exe:"/bin/sigstorm" ~argv:[]).report in
-  let deterministic = String.equal r1 r2 in
-  if not deterministic then begin
-    gate_ok := false;
-    Printf.printf "  GATE: contention report differs across same-seed runs\n"
-  end;
-  Harness.record "contend.deterministic"
-    (Stats.of_list [ (if deterministic then 1.0 else 0.0) ]);
-  Printf.printf "\nattribution floor: %.0f%% — %s\n" (100. *. coverage_floor)
-    (if !gate_ok then "met by every run" else "NOT met");
-  Printf.printf "same-seed report determinism: %s\n%!"
-    (if deterministic then "byte-identical" else "DIVERGED");
-  !gate_ok
+  Harness.gate "contend.deterministic" (String.equal r1 r2) "same-seed sigstorm report"

@@ -21,7 +21,9 @@ let noise = 0.006
 
    Every named measurement lands in a registry; [write_metrics] dumps
    it as BENCH_<mode>.json so runs can be diffed and plotted without
-   scraping the printed tables. *)
+   scraping the printed tables. The file is JSON laid out one element
+   per line: a header line, one line per metric, and a closing line;
+   [read_metrics] reads that layout back and nothing else. *)
 
 type metric = {
   m_name : string;
@@ -54,27 +56,77 @@ let json_float x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
   else Printf.sprintf "%.17g" x
 
+let header_line ~mode ~version =
+  Printf.sprintf "{\"mode\":\"%s\",\"version\":\"%s\",\"metrics\":[" (json_escape mode)
+    (json_escape version)
+
+let metric_line m =
+  Printf.sprintf "{\"name\":\"%s\",\"unit\":\"%s\",\"mean\":%s,\"ci95\":%s,\"trials\":%d}"
+    (json_escape m.m_name) (json_escape m.m_unit) (json_float m.m_mean) (json_float m.m_ci95)
+    m.m_trials
+
 let write_metrics ~mode =
   let path = Printf.sprintf "BENCH_%s.json" mode in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf "{\"mode\":\"%s\",\"version\":\"%s\",\"metrics\":[\n"
-       (json_escape mode)
-       (json_escape Graphene.Graphene_version.version));
-  List.iteri
-    (fun i m ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"unit\":\"%s\",\"mean\":%s,\"ci95\":%s,\"trials\":%d}"
-           (json_escape m.m_name) (json_escape m.m_unit) (json_float m.m_mean)
-           (json_float m.m_ci95) m.m_trials))
-    (List.rev !metrics);
-  Buffer.add_string b "\n]}\n";
   let oc = open_out_bin path in
-  Buffer.output_buffer oc b;
+  output_string oc (header_line ~mode ~version:Graphene.Graphene_version.version ^ "\n");
+  output_string oc (String.concat ",\n" (List.rev_map metric_line !metrics));
+  output_string oc "\n]}\n";
   close_out oc;
   Printf.printf "\n-- %d metrics -> %s\n" (List.length !metrics) path
+
+(* The metrics of a file [write_metrics] wrote, in file order. A line
+   must scan and print back to itself exactly, so the reader accepts
+   only the writer's own rendering: no nan, no extra field, no other
+   number syntax. Errors name the file and line. *)
+let read_metrics path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> Error msg
+  | text -> (
+    let fail n what = Error (Printf.sprintf "%s:%d: %s" path n what) in
+    let seen = Hashtbl.create 256 in
+    let rec body n acc = function
+      | [ "]}"; "" ] -> Ok (List.rev acc)
+      | [ ""; "]}"; "" ] when acc = [] -> Ok []
+      | [] | [ _ ] -> fail n "truncated: no closing ]}"
+      | line :: rest -> (
+        let sep = if rest = [ "]}"; "" ] then "" else "," in
+        match
+          Scanf.sscanf line "{\"name\":%S,\"unit\":%S,\"mean\":%f,\"ci95\":%f,\"trials\":%d}%s%!"
+            (fun m_name m_unit m_mean m_ci95 m_trials _ ->
+              { m_name; m_unit; m_mean; m_ci95; m_trials })
+        with
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+          fail n "malformed metric line"
+        | m when line <> metric_line m ^ sep -> fail n "malformed metric line"
+        | m when Hashtbl.mem seen m.m_name -> fail n ("duplicate metric " ^ m.m_name)
+        | m ->
+          Hashtbl.add seen m.m_name ();
+          body (n + 1) (m :: acc) rest)
+    in
+    (* split_on_char never returns [] *)
+    let header, rest =
+      match String.split_on_char '\n' text with h :: r -> (h, r) | [] -> assert false
+    in
+    match
+      Scanf.sscanf header "{\"mode\":%S,\"version\":%S,\"metrics\":[%!" (fun mode version ->
+          header_line ~mode ~version)
+    with
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> fail 1 "malformed header line"
+    | canonical when canonical <> header -> fail 1 "malformed header line"
+    | _ -> body 2 [] rest)
+
+(* {1 Self-checks}
+
+   Every pass/fail check an experiment makes on its own results goes
+   through [gate]: one printed line, and a failure turns the run's
+   exit code nonzero once the metrics are written, so a failing run
+   stays inspectable. *)
+
+let failed_gates : string list ref = ref []
+
+let gate name passed detail =
+  Printf.printf "  gate %-36s %s  %s\n%!" name (if passed then "ok  " else "FAIL") detail;
+  if not passed then failed_gates := name :: !failed_gates
 
 (* Run [f] against [n] fresh worlds of [stack]; collect its float
    result into stats. [name] also records the result in the metrics

@@ -3,7 +3,8 @@
 
     Usage:
       main.exe [all|quick|table1|table4|table5|table6|table7|table8|
-                figure4|figure5|ablation|critpath|chaos|cache|contend|bechamel]
+                figure4|figure5|ablation|critpath|chaos|cache|contend|web|ring|
+                bechamel]
                [--baseline FILE]
       main.exe regress BASELINE FRESH
 
@@ -11,19 +12,16 @@
     reduced sizes. [bechamel] wall-clock-benchmarks one representative
     probe per table through Bechamel, as a harness self-measurement.
 
-    [--baseline FILE] compares the metrics the run just wrote against a
-    committed BENCH_*.json baseline (see {!Regress}) and exits nonzero
-    if any drift past tolerance — the CI regression gate. [regress]
-    runs only that comparison, between two already-written files. *)
+    A run exits nonzero if any of its self-checks ({!Harness.gate})
+    failed, or if [--baseline FILE] is given and the metrics the run
+    just wrote differ from that committed BENCH_*.json in any way
+    (see {!Regress}) — the CI gate. [regress] runs only that
+    comparison, between two already-written files. *)
 
 let header title =
   Printf.printf "==============================================================\n";
   Printf.printf "%s\n" title;
   Printf.printf "==============================================================\n%!"
-
-(* Set when the cache ablation's self-checks fail; the exit code flips
-   only after metrics are written, so the failing run is inspectable. *)
-let cache_gate_failed = ref false
 
 let experiments ~full =
   [ ("table1", "Table 1: host ABI inventory", fun () -> Table1.run ());
@@ -37,16 +35,12 @@ let experiments ~full =
     ("ablation", "Ablation: s4.3 coordination optimizations", fun () -> Ablation.run ());
     ("critpath", "Critical path: cross-picoprocess signal delivery", fun () ->
         Critpath_report.run ());
-    ("chaos", "Chaos sweep: fault injection and leader recovery", fun () ->
-        ignore (Chaos.run ~full ()));
-    ("cache", "Cache ablation: fast-path caches on/off, hit rates", fun () ->
-        if not (Cache.run ~full ()) then cache_gate_failed := true);
+    ("chaos", "Chaos sweep: fault injection and leader recovery", fun () -> Chaos.run ~full ());
+    ("cache", "Cache ablation: fast-path caches on/off, hit rates", fun () -> Cache.run ~full ());
     ("contend", "Contention sweep: wait attribution, leader share, convoys", fun () ->
-        if not (Contend.run ~full ()) then cache_gate_failed := true);
-    ("web", "Web farm: event-driven servers at production concurrency", fun () ->
-        if not (Web.run ~full ()) then cache_gate_failed := true);
-    ("ring", "vDSO page + submission ring: fast-path gates", fun () ->
-        if not (Ring.run ~full ()) then cache_gate_failed := true) ]
+        Contend.run ~full ());
+    ("web", "Web farm: event-driven servers at production concurrency", fun () -> Web.run ~full ());
+    ("ring", "vDSO page + submission ring: fast-path gates", fun () -> Ring.run ~full ()) ]
 
 (* {1 Bechamel probes}
 
@@ -124,17 +118,21 @@ module Bech = struct
       tests
 end
 
-(* After metrics land in BENCH_<mode>.json, gate them against the
-   requested baseline; the exit code folds in the cache ablation's
-   self-checks so either failure fails the run. *)
+(* After metrics land in BENCH_<mode>.json, compare them with the
+   requested baseline; a failed self-check or any difference fails
+   the run. *)
 let finish ~mode ~baseline =
   Harness.write_metrics ~mode;
-  let regress_failed =
+  let equal =
     match baseline with
-    | None -> false
-    | Some file -> not (Regress.check ~baseline:file ~fresh:("BENCH_" ^ mode ^ ".json"))
+    | None -> true
+    | Some file -> Regress.check ~baseline:file ~fresh:("BENCH_" ^ mode ^ ".json")
   in
-  if !cache_gate_failed || regress_failed then exit 1
+  (match List.rev !Harness.failed_gates with
+  | [] -> ()
+  | names ->
+    Printf.printf "== %d gates FAILED: %s\n" (List.length names) (String.concat ", " names));
+  if not (equal && !Harness.failed_gates = []) then exit 1
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

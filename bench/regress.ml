@@ -1,311 +1,64 @@
-(** Bench regression gate: compare a fresh BENCH_<mode>.json against a
+(** Bench regression gate: a fresh BENCH_<mode>.json must equal its
     committed baseline.
 
     Every simulated metric derives from the virtual clock and seeded
-    RNG noise, so baselines are machine-independent: a committed
-    BENCH file reproduces byte-for-byte on any host. The tolerances
-    below therefore absorb legitimate {e code} drift (a cost model
-    retuned, an optimization landing), not machine noise — and the
-    discrete chaos counters (completed/unrecovered runs, invariant
-    violations) must match exactly.
+    RNG noise, so a committed baseline reproduces byte for byte on any
+    host. A metric that moves has therefore been moved by a code
+    change, and the change must refresh the baseline and say why
+    (docs/AUDIT.md). A metric passes only when its unit, mean, ci95 and
+    trials all equal the baseline's; a baseline metric missing from the
+    fresh run fails, and so does a fresh metric the baseline lacks. *)
 
-    A fresh run fails the gate when a baseline metric is missing or a
-    mean moved beyond its tolerance; metrics new in the fresh run are
-    reported but never fail (they gate once committed). *)
+module H = Harness
 
-(* {1 A minimal JSON reader}
+(* Signed drift of [f] relative to [b], for the report. *)
+let drift b f =
+  if b = 0. then "from zero" else Printf.sprintf "%+.3g%%" ((f -. b) /. Float.abs b *. 100.)
 
-   Just enough for the BENCH format (objects, arrays, strings,
-   numbers); hand-rolled because the toolchain has no JSON library and
-   the format is ours. *)
-
-type json =
-  | Jnull
-  | Jbool of bool
-  | Jnum of float
-  | Jstr of string
-  | Jarr of json list
-  | Jobj of (string * json) list
-
-exception Bad of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+(* Each field of [f] that differs from [b], as "field base -> fresh". *)
+let differences (b : H.metric) (f : H.metric) =
+  let num field x y =
+    if x = y then []
+    else [ Printf.sprintf "%s %s -> %s (%s)" field (H.json_float x) (H.json_float y) (drift x y) ]
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char b '"'
-        | Some '\\' -> Buffer.add_char b '\\'
-        | Some '/' -> Buffer.add_char b '/'
-        | Some 'n' -> Buffer.add_char b '\n'
-        | Some 't' -> Buffer.add_char b '\t'
-        | Some 'r' -> Buffer.add_char b '\r'
-        | Some c -> fail (Printf.sprintf "unsupported escape \\%c" c)
-        | None -> fail "unterminated escape");
-        advance ();
-        loop ()
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> num_char c | None -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> f
-    | None -> fail ("bad number " ^ text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> Jstr (parse_string ())
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Jobj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            List.rev ((key, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
-        in
-        Jobj (members [])
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Jarr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
-        in
-        Jarr (elements [])
-      end
-    | Some 't' -> literal "true" (Jbool true)
-    | Some 'f' -> literal "false" (Jbool false)
-    | Some 'n' -> literal "null" Jnull
-    | Some _ -> Jnum (parse_number ())
-    | None -> fail "empty input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+  (if b.m_unit = f.m_unit then [] else [ Printf.sprintf "unit %S -> %S" b.m_unit f.m_unit ])
+  @ num "mean" b.m_mean f.m_mean
+  @ num "ci95" b.m_ci95 f.m_ci95
+  @
+  if b.m_trials = f.m_trials then []
+  else [ Printf.sprintf "trials %d -> %d" b.m_trials f.m_trials ]
 
-(* {1 The BENCH schema} *)
-
-type metric = { r_name : string; r_unit : string; r_mean : float; r_trials : int }
-
-type bench = { b_mode : string; b_metrics : metric list }
-
-let member key = function
-  | Jobj fields -> List.assoc_opt key fields
-  | _ -> None
-
-let str_of = function Jstr s -> s | _ -> raise (Bad "expected string")
-let num_of = function Jnum f -> f | _ -> raise (Bad "expected number")
-
-let bench_of_json j =
-  let metric m =
-    { r_name = str_of (Option.get (member "name" m));
-      r_unit = (match member "unit" m with Some u -> str_of u | None -> "");
-      r_mean = num_of (Option.get (member "mean" m));
-      r_trials =
-        (match member "trials" m with Some t -> int_of_float (num_of t) | None -> 0) }
-  in
-  match member "metrics" j with
-  | Some (Jarr ms) ->
-    { b_mode = (match member "mode" j with Some m -> str_of m | None -> "?");
-      b_metrics = List.map metric ms }
-  | _ -> raise (Bad "no metrics array")
-
-let load path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic -> (
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match bench_of_json (parse_json text) with
-    | b -> Ok b
-    | exception Bad msg -> Error (path ^ ": " ^ msg)
-    | exception _ -> Error (path ^ ": malformed BENCH json"))
-
-(* {1 Tolerances}
-
-   Relative drift allowed per metric mean. Discrete chaos outcomes are
-   exact: a single unrecovered run or invariant violation is a
-   regression, not noise. *)
-
-let default_tolerance = 0.25
-
-let exact_prefixes =
-  [ "chaos.unrecovered"; "chaos.completed"; "chaos.invariant";
-    (* contention self-gates: unattributed blocked time and report
-       determinism are virtual-clock-exact — any drift is a bug *)
-    "contend.unattributed"; "contend.deterministic";
-    (* web sweep self-gates: the degradation shape and same-seed
-       determinism are pass/fail bits, not noisy means *)
-    "web.deterministic"; "web.degrading";
-    (* vDSO/ring self-gates: neutrality, the 2x batching floor, the
-       vDSO latency bound and determinism are pass/fail bits *)
-    "ring.t6_no_regress"; "ring.batched_2x"; "ring.vdso_bound"; "ring.deterministic" ]
-
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
-let tolerance_of name =
-  if List.exists (fun prefix -> has_prefix ~prefix name) exact_prefixes then 0.0
-  else default_tolerance
-
-(* Relative drift of [fresh] vs [base], on a scale where 0 = equal.
-   Both-zero means are equal; a zero baseline with a nonzero fresh
-   value is infinite drift. *)
-let drift ~base ~fresh =
-  if base = fresh then 0.0
-  else if base = 0.0 then infinity
-  else Float.abs (fresh -. base) /. Float.abs base
-
-(* {1 The gate} *)
-
-type verdict = {
-  v_name : string;
-  v_base : float;
-  v_fresh : float option;  (** None: metric vanished *)
-  v_drift : float;
-  v_tolerance : float;
-  v_ok : bool;
-}
-
-let compare_benches ~(baseline : bench) ~(fresh : bench) =
-  let fresh_tbl = Hashtbl.create 64 in
-  List.iter (fun m -> Hashtbl.replace fresh_tbl m.r_name m) fresh.b_metrics;
-  let verdicts =
-    List.map
-      (fun bm ->
-        let tol = tolerance_of bm.r_name in
-        match Hashtbl.find_opt fresh_tbl bm.r_name with
-        | None ->
-          { v_name = bm.r_name; v_base = bm.r_mean; v_fresh = None; v_drift = infinity;
-            v_tolerance = tol; v_ok = false }
-        | Some fm ->
-          let d = drift ~base:bm.r_mean ~fresh:fm.r_mean in
-          { v_name = bm.r_name; v_base = bm.r_mean; v_fresh = Some fm.r_mean; v_drift = d;
-            v_tolerance = tol; v_ok = d <= tol })
-      baseline.b_metrics
-  in
-  let new_metrics =
-    List.filter
-      (fun fm -> not (List.exists (fun bm -> bm.r_name = fm.r_name) baseline.b_metrics))
-      fresh.b_metrics
-  in
-  (verdicts, new_metrics)
-
-let report ~baseline_path (verdicts, new_metrics) =
-  let failed = List.filter (fun v -> not v.v_ok) verdicts in
-  Printf.printf "== bench regression gate (baseline %s) ==\n" baseline_path;
-  Printf.printf "  %-44s %14s %14s %9s %7s\n" "metric" "baseline" "fresh" "drift" "gate";
-  List.iter
-    (fun v ->
-      Printf.printf "  %-44s %14.6g %14s %8.1f%% %7s\n" v.v_name v.v_base
-        (match v.v_fresh with Some f -> Printf.sprintf "%.6g" f | None -> "MISSING")
-        (v.v_drift *. 100.)
-        (if v.v_ok then "ok" else "FAIL"))
-    verdicts;
-  List.iter
-    (fun m -> Printf.printf "  %-44s %14s %14.6g %9s %7s\n" m.r_name "(new)" m.r_mean "-" "new")
-    new_metrics;
-  if failed = [] then
-    Printf.printf "  PASS: %d metrics within tolerance (%d new, not gated)\n"
-      (List.length verdicts) (List.length new_metrics)
-  else begin
-    Printf.printf "  FAIL: %d of %d metrics out of tolerance:\n" (List.length failed)
-      (List.length verdicts);
-    List.iter
-      (fun v ->
-        Printf.printf "    %s: baseline %.6g, fresh %s (tolerance %.0f%%)\n" v.v_name v.v_base
-          (match v.v_fresh with Some f -> Printf.sprintf "%.6g" f | None -> "missing")
-          (v.v_tolerance *. 100.))
-      failed
-  end;
-  failed = []
-
-(* Compare two BENCH files on disk; prints the report and returns
-   [true] on pass. *)
+(* Compare two BENCH files on disk; prints a one-line summary, then
+   one line per failing metric, and returns [true] on pass. *)
 let check ~baseline ~fresh =
-  match (load baseline, load fresh) with
+  match (H.read_metrics baseline, H.read_metrics fresh) with
   | Error msg, _ | _, Error msg ->
-    Printf.printf "== bench regression gate ==\n  FAIL: %s\n" msg;
+    Printf.printf "== bench gate: FAIL: %s\n" msg;
     false
-  | Ok b, Ok f ->
-    if b.b_mode <> f.b_mode then
-      Printf.printf "  note: comparing mode %s baseline against mode %s run\n" b.b_mode
-        f.b_mode;
-    report ~baseline_path:baseline (compare_benches ~baseline:b ~fresh:f)
+  | Ok base, Ok fresh ->
+    let index ms =
+      Hashtbl.of_seq (Seq.map (fun (m : H.metric) -> (m.m_name, m)) (List.to_seq ms))
+    in
+    let base_tbl = index base and fresh_tbl = index fresh in
+    let differing =
+      List.filter_map
+        (fun (b : H.metric) ->
+          match Option.map (differences b) (Hashtbl.find_opt fresh_tbl b.m_name) with
+          | None | Some [] -> None
+          | Some d -> Some (Printf.sprintf "%s: %s" b.m_name (String.concat ", " d)))
+        base
+    in
+    let absent tbl ms = List.filter (fun (m : H.metric) -> not (Hashtbl.mem tbl m.m_name)) ms in
+    let missing = absent fresh_tbl base and added = absent base_tbl fresh in
+    let ok = differing = [] && missing = [] && added = [] in
+    Printf.printf "== bench gate vs %s: %d metrics, %d differing, %d missing, %d new: %s\n"
+      baseline (List.length base) (List.length differing) (List.length missing)
+      (List.length added)
+      (if ok then "PASS" else "FAIL");
+    List.iter (Printf.printf "  %s\n") differing;
+    let show what (m : H.metric) =
+      Printf.printf "  %s: %s (mean %s)\n" m.m_name what (H.json_float m.m_mean)
+    in
+    List.iter (show "missing from the fresh run") missing;
+    List.iter (show "new, not in the baseline") added;
+    ok

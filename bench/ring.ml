@@ -7,18 +7,18 @@
     that drains a batch of independent reads/writes behind one
     boundary crossing.
 
-    Self-gates (the CI ring smoke; any failure exits nonzero):
-    - neutrality: no Table 6 row regresses with both knobs on vs both
-      off ([ring.t6_no_regress] must be 1) — the fast paths only
-      remove work, they never add it to an unrelated path
-    - batching: streaming file reads through the ring are at least 2x
-      faster per operation than the equivalent per-call loop
-      ([ring.batched_2x] must be 1)
-    - the vDSO bound: a [gettimeofday] on the fast path costs at most
-      [Cost.vdso_call] plus the in-guest dispatch — no hidden crossing
-      ([ring.vdso_bound] must be 1)
-    - determinism: a fixed-seed ring run reproduces to the byte
-      ([ring.deterministic] must be 1) *)
+    Self-checks ({!Harness.gate}):
+    - neutrality ([ring.t6_no_regress]): no Table 6 row regresses with
+      both knobs on vs both off — the fast paths only remove work,
+      they never add it to an unrelated path
+    - batching ([ring.batched_2x]): streaming file reads through the
+      ring are at least 2x faster per operation than the equivalent
+      per-call loop
+    - the vDSO bound ([ring.vdso_bound]): a [gettimeofday] on the fast
+      path costs at most [Cost.vdso_call] plus the in-guest dispatch —
+      no hidden crossing
+    - determinism ([ring.deterministic]): a fixed-seed ring run
+      reproduces to the byte *)
 
 module W = Graphene.World
 module K = Graphene_host.Kernel
@@ -116,16 +116,7 @@ let per_read console =
     | None -> failwith "bench ring: missing calibration marks")
   | None -> failwith "bench ring: missing op marks"
 
-let bit b = Stats.of_list [ (if b then 1.0 else 0.0) ]
-
 let run ?(full = true) () =
-  let ok = ref true in
-  let gate name passed detail =
-    Harness.record name (bit passed);
-    Printf.printf "  %-22s %s%s\n%!" name (if passed then "ok" else "FAIL") detail;
-    if not passed then ok := false
-  in
-
   (* gate 1: Table 6 neutrality — both knobs on vs both off *)
   Printf.printf "  re-running Table 6 rows with the fast paths on and off...\n%!";
   let t =
@@ -156,10 +147,10 @@ let run ?(full = true) () =
           Table.cell_pct ((mo -. mf) /. mf *. 100.) ])
     (Table6.rows ~full:false);
   Table.print t;
-  gate "ring.t6_no_regress" (!regressed = [])
+  Harness.gate "ring.t6_no_regress" (!regressed = [])
     (match !regressed with
-    | [] -> ""
-    | rows -> " (regressed: " ^ String.concat ", " rows ^ ")");
+    | [] -> "every Table 6 row"
+    | rows -> "regressed: " ^ String.concat ", " rows);
 
   (* gate 2: batched streaming beats the per-call loop >= 2x *)
   let loop_out, _ = run_installed ~seed:31 ("/bin/stream_loop", stream_loop_prog) in
@@ -171,7 +162,7 @@ let run ?(full = true) () =
   Harness.record "ring.stream_speedup" (Stats.of_list [ speedup ]);
   Printf.printf "\n  streaming 64B reads: %.1f ns/op per-call, %.1f ns/op ring (%.2fx)\n"
     loop_ns ring_ns speedup;
-  gate "ring.batched_2x" (speedup >= 2.0) (Printf.sprintf " (%.2fx)" speedup);
+  Harness.gate "ring.batched_2x" (speedup >= 2.0) (Printf.sprintf "%.2fx" speedup);
 
   (* gate 3: the vDSO bound — gettimeofday on the fast path costs at
      most the page read plus the in-guest syscall dispatch *)
@@ -188,13 +179,11 @@ let run ?(full = true) () =
   let bound = float_of_int (T.add Cost.vdso_call Cost.libos_call) in
   Harness.record ~unit:"ns" "ring.gettimeofday_ns" (Stats.of_list [ gtod_ns ]);
   Printf.printf "  gettimeofday: %.1f ns/op (bound %.0f ns)\n" gtod_ns bound;
-  gate "ring.vdso_bound" (gtod_ns <= bound) (Printf.sprintf " (%.1f ns)" gtod_ns);
+  Harness.gate "ring.vdso_bound" (gtod_ns <= bound) (Printf.sprintf "%.1f ns" gtod_ns);
 
   (* gate 4: same-seed determinism of a ring run, to the byte *)
   let probe () =
     let out, now = run_installed ~seed:47 ("/bin/stream_ring", stream_ring_prog) in
     out ^ "/" ^ string_of_int now
   in
-  let deterministic = String.equal (probe ()) (probe ()) in
-  gate "ring.deterministic" deterministic "";
-  !ok
+  Harness.gate "ring.deterministic" (String.equal (probe ()) (probe ())) "same-seed ring run"
