@@ -112,6 +112,11 @@ and lsm = {
 
 type gipc_payload = { g_src : pico; g_ranges : (int * int) list  (** base, npages *) }
 
+(* One host syscall's accounting: its seccomp number (-1 when the name
+   has none), the calls counted and the kernel-mode time charged. One
+   table probe per call reaches all three. *)
+type sysent = { nr : int; mutable calls : int; mutable time : Time.t }
+
 (* A shared semaphore page: the medium of the futex-style SysV fast
    path. The owner publishes (value, waiter count) here; same-sandbox
    picoprocesses with live authority mutate it directly instead of
@@ -178,9 +183,8 @@ type t = {
   gipc_store : (int, gipc_payload) Hashtbl.t;
   mutable next_gipc : int;
   mutable runnable : int;
-  syscall_counts : (string, int) Hashtbl.t;
-  syscall_times : (string, Time.t) Hashtbl.t;
-      (** total kernel-mode virtual time charged per host syscall *)
+  syscalls : (string, sysent) Hashtbl.t;
+      (** per host syscall: calls and total kernel-mode virtual time *)
   tracer : Obs.t;
   audit : Audit.t;
   invariants : Invariant.t;
@@ -284,8 +288,7 @@ let create ?(cores = 4) ?(seed = 42) ?(noise = 0.0) () =
     gipc_store = Hashtbl.create 16;
     next_gipc = 0;
     runnable = 0;
-    syscall_counts = Hashtbl.create 64;
-    syscall_times = Hashtbl.create 64;
+    syscalls = Hashtbl.create 64;
     tracer;
     audit;
     invariants;
@@ -328,9 +331,8 @@ let run_until_idle t = Engine.run_until_idle t.engine
    and never before anything already in flight to it: per-stream FIFO,
    so an EOF can never overtake data written first. *)
 let schedule_into ?(extra = Time.zero) t peer fn =
-  let at =
-    max (Time.add (now t) (Time.add extra Cost.stream_oneway)) peer.Stream.fifo_clock
-  in
+  let at = Time.add (now t) (Time.add extra Cost.stream_oneway) in
+  let at = if at < peer.Stream.fifo_clock then peer.Stream.fifo_clock else at in
   peer.Stream.fifo_clock <- at;
   ignore (Engine.schedule_at t.engine at fn)
 
@@ -430,24 +432,21 @@ let vdso_page_invalidate t ~host_pid =
    invalidates first. *)
 let vdso_time p ~now:at = Time.add p.vd_time_base (Time.diff at p.vd_published_at)
 
-let count_syscall t name =
-  let prev = Option.value ~default:0 (Hashtbl.find_opt t.syscall_counts name) in
-  Hashtbl.replace t.syscall_counts name (prev + 1)
+let sysent t name =
+  match Hashtbl.find t.syscalls name with
+  | e -> e
+  | exception Not_found ->
+    let nr = match Bpf.Sysno.number_opt name with Some nr -> nr | None -> -1 in
+    let e = { nr; calls = 0; time = Time.zero } in
+    Hashtbl.add t.syscalls name e;
+    e
 
 let syscall_counts t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.syscall_counts []
-  |> List.sort compare
-
-let charge_syscall_time t name d =
-  let prev = Option.value ~default:Time.zero (Hashtbl.find_opt t.syscall_times name) in
-  Hashtbl.replace t.syscall_times name (Time.add prev d)
+  Hashtbl.fold (fun name e acc -> (name, e.calls) :: acc) t.syscalls [] |> List.sort compare
 
 (* Per-syscall (count, total kernel-mode time), busiest first. *)
 let syscall_report t =
-  Hashtbl.fold
-    (fun name n acc ->
-      (name, n, Option.value ~default:Time.zero (Hashtbl.find_opt t.syscall_times name)) :: acc)
-    t.syscall_counts []
+  Hashtbl.fold (fun name e acc -> (name, e.calls, e.time) :: acc) t.syscalls []
   |> List.sort (fun (n1, c1, _) (n2, c2, _) ->
          if c1 <> c2 then compare c2 c1 else compare n1 n2)
 
@@ -469,18 +468,17 @@ let lsm_verdict t pico ~hook ~target ~cost allowed =
 
 (* {1 Seccomp} *)
 
-(* Evaluate the picoprocess's installed filter for a host system call
-   issued from return address [pc]. Returns the verdict plus the
-   filter-evaluation cost. No filter means no restriction (native
-   baseline picoprocesses). *)
-let syscall_check t pico ~name ~pc ~args =
-  count_syscall t name;
+(* Count a host system call [e] issued from return address [pc] and
+   evaluate the picoprocess's installed filter for it. Returns the
+   verdict plus the filter-evaluation cost. No filter means no
+   restriction (native baseline picoprocesses). *)
+let filter_syscall t pico e ~name ~pc ~args =
+  e.calls <- e.calls + 1;
   let action, filter_cost =
     match pico.filter with
     | None -> (Bpf.Prog.Allow, Time.zero)
     | Some filter ->
-      let nr = match Bpf.Sysno.number_opt name with Some nr -> nr | None -> -1 in
-      let data = { Bpf.Prog.nr; arch = Bpf.Prog.audit_arch_x86_64; pc; args } in
+      let data = { Bpf.Prog.nr = e.nr; arch = Bpf.Prog.audit_arch_x86_64; pc; args } in
       let action, insns = Bpf.Prog.eval filter data in
       (action, Time.scale Cost.seccomp_insn (float_of_int insns))
   in
@@ -491,6 +489,17 @@ let syscall_check t pico ~name ~pc ~args =
           ("filter_ns", Obs.Aint filter_cost) ]
       (now t);
   (action, filter_cost)
+
+let syscall_check t pico ~name ~pc ~args = filter_syscall t pico (sysent t name) ~name ~pc ~args
+
+(* The PAL's choke point: count, filter, and charge entry + filter +
+   [cost] to [name], all through one table probe. *)
+let pal_syscall t pico ~name ~pc ~args ~cost =
+  let e = sysent t name in
+  let action, filter_cost = filter_syscall t pico e ~name ~pc ~args in
+  let total = Time.add (Time.add filter_cost Cost.host_syscall_entry) cost in
+  e.time <- Time.add e.time total;
+  (action, filter_cost, total)
 
 (* Shared code images, loaded once. *)
 let get_image t ~name ~bytes =
@@ -1127,17 +1136,21 @@ let gipc_recv t pico ~token =
 (* Path-touching operations go through the LSM; these are the host
    syscalls the filter marks [Trace]. *)
 let check_path_traced t pico path access =
-  (* probe before the check fills the memo: a cached decision shows up
-     in the trace at its cheap cost, a cold one at the full walk *)
-  let cost =
-    if t.lsm_active && t.lsm.probe_path pico path access then Cost.refmon_cache_hit
-    else Cost.lsm_path_check
-  in
-  lsm_verdict t pico ~hook:"check_path"
-    ~target:
-      (path ^ " (" ^ (match access with `Read -> "r" | `Write -> "w" | `Exec -> "x") ^ ")")
-    ~cost
-    (t.lsm.check_path pico path access)
+  if not (Obs.enabled t.tracer) then t.lsm.check_path pico path access
+  else begin
+    (* probe before the check fills the memo: a cached decision shows
+       up in the trace at its cheap cost, a cold one at the full walk;
+       the probe is pure, so skipping it untraced changes nothing *)
+    let cost =
+      if t.lsm_active && t.lsm.probe_path pico path access then Cost.refmon_cache_hit
+      else Cost.lsm_path_check
+    in
+    lsm_verdict t pico ~hook:"check_path"
+      ~target:
+        (path ^ " (" ^ (match access with `Read -> "r" | `Write -> "w" | `Exec -> "x") ^ ")")
+      ~cost
+      (t.lsm.check_path pico path access)
+  end
 
 let fs_open t pico path ~write ~create =
   let path = Vfs.normalize path in

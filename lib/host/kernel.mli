@@ -165,9 +165,9 @@ type t = {
   gipc_store : (int, gipc_payload) Hashtbl.t;
   mutable next_gipc : int;
   mutable runnable : int;
-  syscall_counts : (string, int) Hashtbl.t;
-  syscall_times : (string, Graphene_sim.Time.t) Hashtbl.t;
-      (** total kernel-mode virtual time charged per host syscall *)
+  syscalls : (string, sysent) Hashtbl.t;
+      (** per host syscall: calls and total kernel-mode virtual time
+          (read them with {!syscall_counts} and {!syscall_report}) *)
   tracer : Graphene_obs.Obs.t;
   audit : Graphene_obs.Audit.t;
   invariants : Graphene_obs.Invariant.t;
@@ -196,6 +196,7 @@ type t = {
 }
 
 and gipc_payload
+and sysent
 
 exception Denied of string
 (** An LSM / reference-monitor rejection, carrying an errno tag. *)
@@ -321,6 +322,19 @@ val syscall_check :
 (** Evaluate the installed filter for one host call; returns the
     verdict and the filter-evaluation cost. Unfiltered picoprocesses
     are always allowed. Also feeds {!syscall_counts}. *)
+
+val pal_syscall :
+  t ->
+  pico ->
+  name:string ->
+  pc:int ->
+  args:int array ->
+  cost:Graphene_sim.Time.t ->
+  Bpf.Prog.action * Graphene_sim.Time.t * Graphene_sim.Time.t
+(** The PAL's host-call choke point: {!syscall_check}, then charge
+    entry + filter + [cost] of kernel-mode time to [name] (see
+    {!syscall_report}), through one lookup in the syscall table.
+    Returns the verdict, the filter cost and the total charged. *)
 
 val get_image : t -> name:string -> bytes:int -> Memory.image
 (** The shared code-image registry (page-cache semantics). *)
@@ -476,10 +490,6 @@ val net_connect :
 (** {1 Accounting} *)
 
 val syscall_counts : t -> (string * int) list
-
-val charge_syscall_time : t -> string -> Graphene_sim.Time.t -> unit
-(** Attribute kernel-mode virtual time to a named host call (the PAL
-    calls this from its dispatch choke point). *)
 
 val syscall_report : t -> (string * int * Graphene_sim.Time.t) list
 (** Per-syscall [(name, count, total kernel-mode time)], descending by

@@ -69,7 +69,24 @@ let components path =
   in
   norm [] parts
 
-let normalize path = "/" ^ String.concat "/" (components path)
+(* Already canonical: absolute, no empty, "." or ".." component, and no
+   trailing '/' unless the path is "/". One scan, no allocation: a host
+   crossing normalizes its path several times, and the path is nearly
+   always canonical already. *)
+let canonical path =
+  let n = String.length path in
+  let rec component start i =
+    if i < n && path.[i] <> '/' then component start (i + 1)
+    else
+      let len = i - start in
+      len > 0
+      && not (path.[start] = '.' && (len = 1 || (len = 2 && path.[start + 1] = '.')))
+      && (i = n || component (i + 1) (i + 1))
+  in
+  n > 0 && path.[0] = '/' && (n = 1 || component 1 1)
+
+let normalize path =
+  if canonical path then path else "/" ^ String.concat "/" (components path)
 
 let rec walk node = function
   | [] -> Some node
@@ -222,21 +239,32 @@ let unlink t path =
   | None -> err "ENOENT");
   dc_invalidate_subtree t (normalize path)
 
+(* Linux's checks, all made before anything is unlinked: a node
+   renamed onto itself is a no-op, a directory may not move into its
+   own subtree, and a replaced target must be of the same kind (and,
+   for a directory, empty). *)
 let rename t ~src ~dst =
   let src_entries, src_name = parent_of t src in
   match Hashtbl.find_opt src_entries src_name with
   | None -> err "ENOENT"
   | Some node ->
     let dst_entries, dst_name = parent_of t dst in
-    (match Hashtbl.find_opt dst_entries dst_name with
-    | Some (Dir d) when Hashtbl.length d > 0 -> err "ENOTEMPTY"
-    | _ -> ());
-    Hashtbl.remove src_entries src_name;
-    Hashtbl.replace dst_entries dst_name node;
-    (* both subtrees resolve differently now: src is gone, dst holds
-       the moved node (and its descendants) *)
-    dc_invalidate_subtree t (normalize src);
-    dc_invalidate_subtree t (normalize dst)
+    let src = normalize src and dst = normalize dst in
+    match Hashtbl.find_opt dst_entries dst_name with
+    | Some target when target == node -> ()
+    | target ->
+      (match node, target with
+      | Dir _, _ when String.starts_with ~prefix:(src ^ "/") dst -> err "EINVAL"
+      | Dir _, Some (File _) -> err "ENOTDIR"
+      | File _, Some (Dir _) -> err "EISDIR"
+      | Dir _, Some (Dir d) when Hashtbl.length d > 0 -> err "ENOTEMPTY"
+      | _ -> ());
+      Hashtbl.remove src_entries src_name;
+      Hashtbl.replace dst_entries dst_name node;
+      (* both subtrees resolve differently now: src is gone, dst holds
+         the moved node (and its descendants) *)
+      dc_invalidate_subtree t src;
+      dc_invalidate_subtree t dst
 
 let readdir t path =
   match lookup t path with

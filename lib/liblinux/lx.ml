@@ -261,29 +261,31 @@ and finish lx th ?(cost = Cost.libos_call) v =
 
 (* Close the Liblinux span opened at [dispatch]: the interval from
    syscall entry to the resume that ends it (PAL waits included), plus
-   the libOS-side cost charged on the way out. *)
+   the libOS-side cost charged on the way out. Spans only open while
+   tracing, so an empty table skips the lookup. *)
 and close_syscall_span lx th ~cost =
-  match Hashtbl.find_opt lx.trace_open th.K.tid with
-  | None -> ()
-  | Some (name, t0) ->
-    Hashtbl.remove lx.trace_open th.K.tid;
-    let tracer = (kernel lx).K.tracer in
-    let dur = Time.add (Time.diff (K.now (kernel lx)) t0) cost in
-    if Obs.enabled tracer then begin
-      Obs.span tracer Obs.Liblinux ~name:("sys_" ^ name) ~pid:(pico lx).K.pid
-        ~tid:th.K.tid ~start:t0 ~dur ();
-      Obs.observe tracer ("liblinux.sys." ^ name) (float_of_int dur)
-    end;
-    (* cross-check for the contention plane: the end-to-end duration of
-       coordination-class guest syscalls, measured at the libOS ruler.
-       The per-resource attribution (the sysv.wait / ipc.wait keys) is
-       the gated number; this total lets `bench contend` sanity-check
-       it against an independent measurement. *)
-    (match name with
-    | "msgget" | "msgsnd" | "msgrcv" | "msgctl_rmid" | "semget" | "semop" | "semop_try"
-    | "kill" | "waitpid" ->
-      Contend.note_sys_blocked (kernel lx).K.contend dur
-    | _ -> ())
+  if Hashtbl.length lx.trace_open > 0 then
+    match Hashtbl.find_opt lx.trace_open th.K.tid with
+    | None -> ()
+    | Some (name, t0) ->
+      Hashtbl.remove lx.trace_open th.K.tid;
+      let tracer = (kernel lx).K.tracer in
+      let dur = Time.add (Time.diff (K.now (kernel lx)) t0) cost in
+      if Obs.enabled tracer then begin
+        Obs.span tracer Obs.Liblinux ~name:("sys_" ^ name) ~pid:(pico lx).K.pid
+          ~tid:th.K.tid ~start:t0 ~dur ();
+        Obs.observe tracer ("liblinux.sys." ^ name) (float_of_int dur)
+      end;
+      (* cross-check for the contention plane: the end-to-end duration of
+         coordination-class guest syscalls, measured at the libOS ruler.
+         The per-resource attribution (the sysv.wait / ipc.wait keys) is
+         the gated number; this total lets `bench contend` sanity-check
+         it against an independent measurement. *)
+      (match name with
+      | "msgget" | "msgsnd" | "msgrcv" | "msgctl_rmid" | "semget" | "semop" | "semop_try"
+      | "kill" | "waitpid" ->
+        Contend.note_sys_blocked (kernel lx).K.contend dur
+      | _ -> ())
 
 let fail lx th ?cost tag = finish lx th ?cost (err tag)
 

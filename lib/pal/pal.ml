@@ -72,9 +72,7 @@ let host t ~name ?(args = [||]) ~cost k =
        call never completes and the continuation must not run *)
     ()
   else begin
-  let action, filter_cost = K.syscall_check t.kernel t.pico ~name ~pc:pal_pc ~args in
-  let total = Time.add (Time.add filter_cost Cost.host_syscall_entry) cost in
-  K.charge_syscall_time t.kernel name total;
+  let action, filter_cost, total = K.pal_syscall t.kernel t.pico ~name ~pc:pal_pc ~args ~cost in
   let tracer = t.kernel.K.tracer in
   if Obs.enabled tracer then begin
     Obs.span tracer Obs.Pal ~name ~pid:t.pico.K.pid

@@ -1,60 +1,74 @@
-type event = { time : Time.t; seq : int; fn : unit -> unit }
-
-(* Binary min-heap ordered by (time, seq). [seq] breaks ties so that
-   events scheduled earlier fire earlier, keeping runs deterministic. *)
+(* Binary min-heap ordered by (time, seq), kept as three parallel
+   arrays so that queuing an event allocates nothing beyond its
+   callback. [seq] breaks ties so that events scheduled earlier fire
+   earlier, keeping runs deterministic. Sifts move a hole instead of
+   swapping, and a vacated callback slot is cleared so the heap never
+   keeps a fired closure alive. *)
 module Heap = struct
-  type t = { mutable arr : event array; mutable len : int }
+  type t = {
+    mutable times : Time.t array;
+    mutable seqs : int array;
+    mutable fns : (unit -> unit) array;
+    mutable len : int;
+  }
 
-  let dummy = { time = 0; seq = 0; fn = ignore }
-  let create () = { arr = Array.make 64 dummy; len = 0 }
+  let create () =
+    { times = Array.make 64 0; seqs = Array.make 64 0; fns = Array.make 64 ignore; len = 0 }
 
-  let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  let lt (t1 : Time.t) (s1 : int) (t2 : Time.t) (s2 : int) = t1 < t2 || (t1 = t2 && s1 < s2)
 
   let grow h =
-    let arr = Array.make (2 * Array.length h.arr) dummy in
-    Array.blit h.arr 0 arr 0 h.len;
-    h.arr <- arr
-
-  let push h e =
-    if h.len = Array.length h.arr then grow h;
-    h.arr.(h.len) <- e;
-    h.len <- h.len + 1;
-    let rec up i =
-      if i > 0 then begin
-        let p = (i - 1) / 2 in
-        if lt h.arr.(i) h.arr.(p) then begin
-          let tmp = h.arr.(i) in
-          h.arr.(i) <- h.arr.(p);
-          h.arr.(p) <- tmp;
-          up p
-        end
-      end
+    let extend a fill =
+      let b = Array.make (2 * Array.length a) fill in
+      Array.blit a 0 b 0 h.len;
+      b
     in
-    up (h.len - 1)
+    h.times <- extend h.times 0;
+    h.seqs <- extend h.seqs 0;
+    h.fns <- extend h.fns ignore
 
-  let pop h =
-    if h.len = 0 then None
+  let set h i time seq fn =
+    h.times.(i) <- time;
+    h.seqs.(i) <- seq;
+    h.fns.(i) <- fn
+
+  let move h ~src ~dst = set h dst h.times.(src) h.seqs.(src) h.fns.(src)
+
+  (* Place (time, seq, fn) at or above the hole [i]. *)
+  let rec up h i time seq fn =
+    let p = (i - 1) / 2 in
+    if i > 0 && lt time seq h.times.(p) h.seqs.(p) then begin
+      move h ~src:p ~dst:i;
+      up h p time seq fn
+    end
+    else set h i time seq fn
+
+  (* Place (time, seq, fn) at or below the hole [i]. *)
+  let rec down h i time seq fn =
+    let l = (2 * i) + 1 in
+    if l >= h.len then set h i time seq fn
     else begin
-      let top = h.arr.(0) in
-      h.len <- h.len - 1;
-      h.arr.(0) <- h.arr.(h.len);
-      h.arr.(h.len) <- dummy;
-      let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let m = if l < h.len && lt h.arr.(l) h.arr.(i) then l else i in
-        let m = if r < h.len && lt h.arr.(r) h.arr.(m) then r else m in
-        if m <> i then begin
-          let tmp = h.arr.(i) in
-          h.arr.(i) <- h.arr.(m);
-          h.arr.(m) <- tmp;
-          down m
-        end
-      in
-      down 0;
-      Some top
+      let r = l + 1 in
+      let c = if r < h.len && lt h.times.(r) h.seqs.(r) h.times.(l) h.seqs.(l) then r else l in
+      if lt h.times.(c) h.seqs.(c) time seq then begin
+        move h ~src:c ~dst:i;
+        down h c time seq fn
+      end
+      else set h i time seq fn
     end
 
-  let peek h = if h.len = 0 then None else Some h.arr.(0)
+  let push h time seq fn =
+    if h.len = Array.length h.times then grow h;
+    h.len <- h.len + 1;
+    up h (h.len - 1) time seq fn
+
+  (* Drop the root, which the caller has already read. *)
+  let remove_top h =
+    let last = h.len - 1 in
+    h.len <- last;
+    let time = h.times.(last) and seq = h.seqs.(last) and fn = h.fns.(last) in
+    h.fns.(last) <- ignore;
+    if last > 0 then down h 0 time seq fn
 end
 
 type t = {
@@ -78,7 +92,7 @@ let schedule_at e time fn =
   if time < e.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %d < now %d" time e.clock);
-  Heap.push e.heap { time; seq = e.next_seq; fn };
+  Heap.push e.heap time e.next_seq fn;
   e.next_seq <- e.next_seq + 1
 
 let schedule_after e d fn = schedule_at e (Time.add e.clock d) fn
@@ -87,46 +101,36 @@ let pending e = e.heap.Heap.len
 let events_fired e = e.fired
 let set_fire_hook e hook = e.fire_hook <- hook
 
-let fire e ev =
-  e.clock <- max e.clock ev.time;
+(* Pop and run the earliest event; the heap must be non-empty. *)
+let fire e =
+  let h = e.heap in
+  let time = h.Heap.times.(0) and fn = h.Heap.fns.(0) in
+  Heap.remove_top h;
+  if time > e.clock then e.clock <- time;
   e.fired <- e.fired + 1;
   (match e.fire_hook with
-  | Some hook -> hook e.clock e.heap.Heap.len
+  | Some hook -> hook e.clock h.Heap.len
   | None -> ());
-  ev.fn ()
+  fn ()
 
 let run_until_idle e =
-  let rec loop () =
-    match Heap.pop e.heap with
-    | None -> ()
-    | Some ev ->
-      fire e ev;
-      loop ()
-  in
-  loop ()
+  while e.heap.Heap.len > 0 do
+    fire e
+  done
 
 let run_until e t =
-  let rec loop () =
-    match Heap.peek e.heap with
-    | Some ev when ev.time <= t ->
-      (match Heap.pop e.heap with
-      | Some ev -> fire e ev
-      | None -> ());
-      loop ()
-    | _ -> ()
-  in
-  loop ();
-  e.clock <- max e.clock t
+  while e.heap.Heap.len > 0 && e.heap.Heap.times.(0) <= t do
+    fire e
+  done;
+  if t > e.clock then e.clock <- t
 
 let run_bounded e ~max_events =
   let rec loop budget =
-    if budget = 0 then e.heap.Heap.len = 0
-    else
-      match Heap.pop e.heap with
-      | None -> true
-      | Some ev ->
-        fire e ev;
-        loop (budget - 1)
+    if budget = 0 || e.heap.Heap.len = 0 then e.heap.Heap.len = 0
+    else begin
+      fire e;
+      loop (budget - 1)
+    end
   in
   loop max_events
 

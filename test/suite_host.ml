@@ -90,7 +90,37 @@ let vfs_tests =
         check_str "via new name" "keep!" (Vfs.read_string fs "/g"));
     case "depth counts components" (fun () ->
         check_int "three" 3 (Vfs.depth "/a/b/c");
-        check_int "root" 0 (Vfs.depth "/")) ]
+        check_int "root" 0 (Vfs.depth "/"));
+    case "rename into its own subtree is EINVAL" (fun () ->
+        let fs = Vfs.create () in
+        Vfs.mkdir_p fs "/a/c";
+        Vfs.write_string fs "/a/c/f" "hello";
+        Alcotest.check_raises "einval" (Vfs.Error "EINVAL") (fun () ->
+            Vfs.rename fs ~src:"/a" ~dst:"/a/b");
+        Alcotest.(check (list string)) "root" [ "a" ] (Vfs.readdir fs "/");
+        check_str "intact" "hello" (Vfs.read_string fs "/a/c/f"));
+    case "rename of a directory over a file is ENOTDIR" (fun () ->
+        let fs = Vfs.create () in
+        Vfs.mkdir fs "/d";
+        Vfs.write_string fs "/f" "file";
+        Alcotest.check_raises "enotdir" (Vfs.Error "ENOTDIR") (fun () ->
+            Vfs.rename fs ~src:"/d" ~dst:"/f");
+        check_bool "dir stays" true (Vfs.stat fs "/d").Vfs.st_is_dir;
+        check_str "file stays" "file" (Vfs.read_string fs "/f"));
+    case "rename of a file over an empty directory is EISDIR" (fun () ->
+        let fs = Vfs.create () in
+        Vfs.write_string fs "/f" "file";
+        Vfs.mkdir fs "/d";
+        Alcotest.check_raises "eisdir" (Vfs.Error "EISDIR") (fun () ->
+            Vfs.rename fs ~src:"/f" ~dst:"/d");
+        check_bool "dir stays" true (Vfs.stat fs "/d").Vfs.st_is_dir;
+        check_str "file stays" "file" (Vfs.read_string fs "/f"));
+    case "rename of a non-empty directory onto itself is a no-op" (fun () ->
+        let fs = Vfs.create () in
+        Vfs.write_string fs "/d/f" "kept";
+        Vfs.rename fs ~src:"/d" ~dst:"/d";
+        Vfs.rename fs ~src:"/d" ~dst:"/d/.";
+        check_str "intact" "kept" (Vfs.read_string fs "/d/f")) ]
 
 (* A property: write at an offset then read back exactly. *)
 let vfs_rw_prop =
@@ -101,6 +131,38 @@ let vfs_rw_prop =
       let f = Vfs.create_file fs "/p" in
       Vfs.write_file f ~off data;
       Vfs.read_file f ~off ~len:(String.length data) = data)
+
+(* [Vfs.normalize] against the split-and-join reference, over paths
+   built from "", ".", "..", "a" and "bc": the same string, the same
+   EINVAL, and an already canonical input comes back as itself. *)
+let reference_normalize p =
+  if p = "" || p.[0] <> '/' then None
+  else
+    let rec norm acc = function
+      | [] -> List.rev acc
+      | ("" | ".") :: rest -> norm acc rest
+      | ".." :: rest -> norm (match acc with [] -> [] | _ :: t -> t) rest
+      | c :: rest -> norm (c :: acc) rest
+    in
+    Some ("/" ^ String.concat "/" (norm [] (String.split_on_char '/' p)))
+
+let vfs_normalize_prop =
+  let path =
+    QCheck.Gen.(
+      map3
+        (fun lead comps trail ->
+          (if lead then "/" else "") ^ String.concat "/" comps ^ if trail then "/" else "")
+        bool
+        (list_size (int_range 0 6) (oneofl [ ""; "."; ".."; "a"; "bc" ]))
+        bool)
+  in
+  QCheck.Test.make ~name:"vfs normalize matches its reference" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") path)
+    (fun p ->
+      match (reference_normalize p, Vfs.normalize p) with
+      | Some want, got -> got = want && (want <> p || got == p)
+      | None, _ -> false
+      | exception Vfs.Error "EINVAL" -> reference_normalize p = None)
 
 (* {1 Memory} *)
 
@@ -575,7 +637,7 @@ let ordering_tests =
 
 let suite =
   ordering_tests @ vfs_tests
-  @ [ QCheck_alcotest.to_alcotest vfs_rw_prop ]
+  @ List.map QCheck_alcotest.to_alcotest [ vfs_rw_prop; vfs_normalize_prop ]
   @ mem_tests @ demand_zero_tests
   @ [ QCheck_alcotest.to_alcotest cow_prop ]
   @ stream_tests @ sync_tests @ kernel_tests

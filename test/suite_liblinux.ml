@@ -693,7 +693,34 @@ let extended_tests =
         in
         expect_exit r;
         (* only the superseding alarm fired *)
-        expect_console "A" r) ]
+        expect_console "A" r);
+    case "rename refuses what Linux refuses and moves nothing" (fun () ->
+        (* a directory into its own subtree, a directory over a file, a
+           file over an empty directory; a directory onto itself is a
+           no-op. The file under the directory survives them all. *)
+        let prog_ =
+          p "/bin/t"
+            (seq
+               [ sys "mkdir" [ str "/tmp/a/c" ];
+                 sys "mkdir" [ str "/tmp/empty" ];
+                 let_ "fd"
+                   (sys "open" [ str "/tmp/a/c/f"; str "w" ])
+                   (seq [ sys "write" [ v "fd"; str "hello" ]; sys "close" [ v "fd" ] ]);
+                 sayn (str_of_int (sys "rename" [ str "/tmp/a"; str "/tmp/a/b" ]));
+                 sayn (str_of_int (sys "rename" [ str "/tmp/a"; str "/tmp/f.txt" ]));
+                 sayn (str_of_int (sys "rename" [ str "/tmp/f.txt"; str "/tmp/empty" ]));
+                 sayn (str_of_int (sys "rename" [ str "/tmp/a"; str "/tmp/a" ]));
+                 let_ "fd"
+                   (sys "open" [ str "/tmp/a/c/f"; str "r" ])
+                   (say (sys "read" [ v "fd"; int 100 ]));
+                 die ])
+        in
+        List.iter
+          (fun stack ->
+            let r = run_prog ~stack prog_ in
+            expect_exit r;
+            expect_console "-22\n-20\n-21\n0\nhello" r)
+          [ W.Graphene; W.Linux ]) ]
 
 let suite =
   file_tests @ pipe_tests @ process_tests @ signal_tests @ proc_fs_tests @ memory_tests

@@ -308,12 +308,7 @@ let det_tests =
           if enable_trace then Obs.enable (W.tracer w);
           let p = W.start w ~console_hook:ignore ~exe:"/bin/hello" ~argv:[] () in
           W.run w;
-          let counts =
-            Hashtbl.fold
-              (fun k v acc -> (k, v) :: acc)
-              (W.kernel w).K.syscall_counts []
-            |> List.sort compare
-          in
+          let counts = K.syscall_counts (W.kernel w) in
           (W.now w, W.exit_code p, counts)
         in
         let t1, x1, c1 = run false and t2, x2, c2 = run true in
@@ -329,12 +324,7 @@ let det_tests =
           if enable_trace then Obs.enable (W.tracer w);
           let p = W.start w ~console_hook:ignore ~exe:"/bin/sigpong" ~argv:[] () in
           W.run w;
-          let counts =
-            Hashtbl.fold
-              (fun k v acc -> (k, v) :: acc)
-              (W.kernel w).K.syscall_counts []
-            |> List.sort compare
-          in
+          let counts = K.syscall_counts (W.kernel w) in
           (W.now w, W.exit_code p, counts)
         in
         let t1, x1, c1 = run false and t2, x2, c2 = run true in

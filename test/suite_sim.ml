@@ -105,6 +105,155 @@ let engine_order_prop =
       let order = List.rev !fired in
       List.length order = List.length times && List.sort compare order = order)
 
+(* The event heap against a list model. A program schedules events
+   (at an absolute time or after a delay, often at the same instant),
+   some of whose callbacks schedule further events; it tries to schedule
+   in the past, and it runs the engine with [run_until], [run_bounded]
+   and [run_until_idle]. Every program opens with more events than the
+   heap's initial 64 slots. After each step, the callbacks fired so far,
+   [now], [pending], [events_fired] and any [run_bounded] result must
+   equal the model's, which keeps its queue as a list sorted by
+   (time, seq). *)
+type engine_op =
+  | At of int * int list  (** [schedule_at (now + d)]; the callback schedules these delays *)
+  | After of int * int list  (** [schedule_after d] *)
+  | Past of int  (** [schedule_at (now - d)], which must raise *)
+  | Until of int  (** [run_until (now + d)] *)
+  | Bounded of int
+  | Idle
+
+let show_engine_op = function
+  | At (d, s) -> Printf.sprintf "At (%d, %d children)" d (List.length s)
+  | After (d, s) -> Printf.sprintf "After (%d, %d children)" d (List.length s)
+  | Past d -> Printf.sprintf "Past %d" d
+  | Until d -> Printf.sprintf "Until %d" d
+  | Bounded n -> Printf.sprintf "Bounded %d" n
+  | Idle -> "Idle"
+
+type model_event = { m_time : int; m_seq : int; m_spawn : int list }
+
+type model = {
+  mutable m_clock : int;
+  mutable m_next_seq : int;
+  mutable m_queue : model_event list;
+  mutable m_fired : int;
+  mutable m_log : int list;  (** seqs of the fired events, latest first *)
+}
+
+let model_schedule m time spawn =
+  let ev = { m_time = time; m_seq = m.m_next_seq; m_spawn = spawn } in
+  m.m_next_seq <- m.m_next_seq + 1;
+  m.m_queue <-
+    List.merge (fun a b -> compare (a.m_time, a.m_seq) (b.m_time, b.m_seq)) m.m_queue [ ev ]
+
+let model_fire m =
+  match m.m_queue with
+  | [] -> ()
+  | ev :: rest ->
+    m.m_queue <- rest;
+    m.m_clock <- max m.m_clock ev.m_time;
+    m.m_fired <- m.m_fired + 1;
+    m.m_log <- ev.m_seq :: m.m_log;
+    List.iter (fun d -> model_schedule m (m.m_clock + d) []) ev.m_spawn
+
+let rec model_run_until m t =
+  match m.m_queue with
+  | ev :: _ when ev.m_time <= t ->
+    model_fire m;
+    model_run_until m t
+  | _ -> m.m_clock <- max m.m_clock t
+
+let rec model_run_bounded m budget =
+  if budget = 0 || m.m_queue = [] then m.m_queue = []
+  else begin
+    model_fire m;
+    model_run_bounded m (budget - 1)
+  end
+
+let rec model_run_idle m =
+  if m.m_queue <> [] then begin
+    model_fire m;
+    model_run_idle m
+  end
+
+let engine_model_prop =
+  let open QCheck.Gen in
+  let delay = frequency [ (1, int_range 0 3); (1, int_range 0 5_000) ] in
+  let spawn = list_size (int_range 0 3) delay in
+  let schedule =
+    map3 (fun at d s -> if at then At (d, s) else After (d, s)) bool delay spawn
+  in
+  let op =
+    frequency
+      [ (50, schedule);
+        (2, map (fun d -> Past d) (int_range 1 5));
+        (4, map (fun d -> Until d) (int_range 0 200));
+        (4, map (fun n -> Bounded n) (int_range 0 10));
+        (1, return Idle) ]
+  in
+  let program =
+    map2 ( @ ) (list_size (int_range 65 100) schedule) (list_size (int_range 0 300) op)
+  in
+  QCheck.Test.make ~name:"engine matches a sorted-list model" ~count:200
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_engine_op ops)) program)
+    (fun ops ->
+      let e = Engine.create () in
+      let m = { m_clock = 0; m_next_seq = 0; m_queue = []; m_fired = 0; m_log = [] } in
+      let log = ref [] and next_id = ref 0 in
+      (* an event's id counts the schedules before it, like its seq *)
+      let rec callback spawn =
+        let id = !next_id in
+        incr next_id;
+        fun () ->
+          log := id :: !log;
+          List.iter (fun d -> Engine.schedule_after e d (callback [])) spawn
+      in
+      List.iter
+        (fun op ->
+          let now = Engine.now e in
+          let bounded =
+            match op with
+            | At (d, s) ->
+              Engine.schedule_at e (now + d) (callback s);
+              model_schedule m (now + d) s;
+              None
+            | After (d, s) ->
+              Engine.schedule_after e d (callback s);
+              model_schedule m (now + d) s;
+              None
+            | Past d ->
+              let msg = Printf.sprintf "Engine.schedule_at: time %d < now %d" (now - d) now in
+              (match Engine.schedule_at e (now - d) ignore with
+              | () -> QCheck.Test.fail_reportf "%s did not raise" msg
+              | exception Invalid_argument got when got = msg -> ());
+              None
+            | Until d ->
+              Engine.run_until e (now + d);
+              model_run_until m (now + d);
+              None
+            | Bounded n -> Some (Engine.run_bounded e ~max_events:n, model_run_bounded m n)
+            | Idle ->
+              Engine.run_until_idle e;
+              model_run_idle m;
+              None
+          in
+          let step = show_engine_op op in
+          if !log <> m.m_log then QCheck.Test.fail_reportf "%s: fired out of model order" step;
+          if Engine.now e <> m.m_clock then
+            QCheck.Test.fail_reportf "%s: now %d, model %d" step (Engine.now e) m.m_clock;
+          if Engine.pending e <> List.length m.m_queue then
+            QCheck.Test.fail_reportf "%s: pending %d, model %d" step (Engine.pending e)
+              (List.length m.m_queue);
+          if Engine.events_fired e <> m.m_fired then
+            QCheck.Test.fail_reportf "%s: fired %d, model %d" step (Engine.events_fired e)
+              m.m_fired;
+          match bounded with
+          | Some (got, want) when got <> want ->
+            QCheck.Test.fail_reportf "%s: run_bounded %b, model %b" step got want
+          | _ -> ())
+        ops;
+      true)
+
 (* {1 Rng} *)
 
 let rng_tests =
@@ -308,4 +457,5 @@ let suite =
   time_tests @ engine_tests @ rng_tests @ stats_tests @ histogram_tests @ table_tests
   @ cost_tests
   @ List.map QCheck_alcotest.to_alcotest
-      [ engine_order_prop; rng_bound_prop; stats_mean_prop; histogram_quantile_prop ]
+      [ engine_order_prop; engine_model_prop; rng_bound_prop; stats_mean_prop;
+        histogram_quantile_prop ]

@@ -74,6 +74,13 @@ let scheduling_tests =
           true
           (serial > parallel *. 3.0)) ]
 
+(* A Graphene+RM world with /bin/hello started (not run), and its PAL. *)
+let rm_hello () =
+  let w = W.create W.Graphene_rm in
+  match W.start w ~exe:"/bin/hello" ~argv:[] () with
+  | W.Pl lx -> (w, lx.Lx.pal)
+  | W.Pn _ -> Alcotest.fail "stack"
+
 let telemetry_tests =
   [ case "every Graphene host syscall is in the PAL's 50" (fun () ->
         let w = W.create W.Graphene in
@@ -84,6 +91,41 @@ let telemetry_tests =
             check_bool (name ^ " allowed") true
               (List.mem name Graphene_bpf.Sysno.pal_syscalls))
           (K.syscall_counts (W.kernel w)));
+    case "host syscall report of a fixed run is pinned" (fun () ->
+        (* (name, calls, kernel-mode ns): each PAL call charges entry +
+           filter + its own cost to its name *)
+        let w = W.create W.Graphene_rm in
+        let p = W.start w ~console_hook:ignore ~exe:"/bin/lat_openclose" ~argv:[ "20" ] () in
+        W.run w;
+        check_int "exit" 0 (W.exit_code p);
+        Alcotest.(check (list (triple string int int)))
+          "report"
+          [ ("close", 21, 3822);
+            ("open", 21, 19240);
+            ("accept", 1, 1344);
+            ("bind", 1, 1146);
+            ("read", 1, 122);
+            ("stat", 1, 866) ]
+          (K.syscall_report (W.kernel w)));
+    case "a raw syscall from the application is counted and charged nothing" (fun () ->
+        let w, pal = rm_hello () in
+        ignore (Graphene_pal.Pal.raw_syscall pal ~pc:0x4000_0000 ~name:"getpid" ~args:[||]);
+        check_bool "getpid" true
+          (List.mem ("getpid", 1, 0) (K.syscall_report (W.kernel w))));
+    case "a name without a syscall number is filtered as nr -1" (fun () ->
+        let w, pal = rm_hello () in
+        let verdict pc =
+          let action, cost =
+            K.syscall_check (W.kernel w) (Graphene_pal.Pal.pico pal) ~name:"no_such_call" ~pc
+              ~args:[||]
+          in
+          (Format.asprintf "%a" Graphene_bpf.Prog.pp_action action, cost)
+        in
+        let check_verdict = Alcotest.(check (pair string int)) in
+        check_verdict "from the PAL" ("KILL", 114) (verdict (K.pal_base + 0x100));
+        check_verdict "from the application" ("TRAP", 12) (verdict 0x4000_0000);
+        check_bool "counted" true
+          (List.mem ("no_such_call", 2, 0) (K.syscall_report (W.kernel w))));
     case "PAL call count grows with work" (fun () ->
         let w = W.create W.Graphene in
         let p1 = W.start w ~exe:"/bin/hello" ~argv:[] () in
