@@ -73,7 +73,7 @@ let () =
      redirects them into libLinux; they never reach the host *)
   let lx = match pa with W.Pl lx -> lx | W.Pn _ -> assert false in
   let probe name =
-    match Pal.raw_syscall lx.Lx.pal ~pc:0x4000_0000 ~name ~args:[||] with
+    match Pal.raw_syscall (Lx.pal lx) ~pc:0x4000_0000 ~name ~args:[||] with
     | Pal.Raw_redirected -> "redirected to libLinux (SIGSYS)"
     | Pal.Raw_allowed -> "ALLOWED (bad!)"
     | Pal.Raw_traced -> "sent to reference monitor"

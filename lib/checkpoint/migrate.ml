@@ -19,8 +19,8 @@ module Seccomp = Graphene_bpf.Seccomp
 module Interp = Graphene_guest.Interp
 module Ast = Graphene_guest.Ast
 module Lx = Graphene_liblinux.Lx
+module Posix = Graphene_liblinux.Posix
 module Ckpt = Graphene_liblinux.Ckpt
-module Ipc = Graphene_ipc.Instance
 
 let gbit_per_s = 125_000_000. (* bytes per second on a 1 Gb link *)
 
@@ -52,7 +52,7 @@ exception Not_quiescent
 let checkpoint (lx : Lx.t) =
   if Lx.exited lx then raise Not_quiescent;
   let th =
-    match lx.Lx.main_thread with Some th -> th | None -> raise Not_quiescent
+    match lx.Posix.main_thread with Some th -> th | None -> raise Not_quiescent
   in
   let machine =
     match th.K.machine with
@@ -60,28 +60,8 @@ let checkpoint (lx : Lx.t) =
     | None -> raise Not_quiescent
   in
   let heap_pages = dump_private_pages (Lx.pico lx) in
-  let fds, _slots = Lx.snapshot_fds lx in
-  { Ckpt.c_machine = Interp.to_bytes machine;
-    c_exe = lx.Lx.exe;
-    c_pid = lx.Lx.pid;
-    c_ppid = lx.Lx.ppid;
-    c_pgid = lx.Lx.pgid;
-    c_parent_addr = lx.Lx.parent_addr;
-    c_cwd = lx.Lx.cwd;
-    c_fds = fds;
-    c_sigactions = Hashtbl.fold (fun k v acc -> (k, v) :: acc) lx.Lx.sigactions [];
-    c_sig_blocked = lx.Lx.sig_blocked;
-    c_brk = lx.Lx.brk;
-    c_inherited = Ipc.snapshot_for_child (Lx.ipc lx);
-    c_regions =
-      List.filter_map
-        (fun r ->
-          match Memory.region_kind r with
-          | Memory.Heap | Memory.Mmap | Memory.Stack ->
-            Some (Memory.region_base r, Memory.region_npages r)
-          | Memory.Pal_code | Memory.Libos_image | Memory.App_image -> None)
-        (Memory.regions (Lx.pico lx).K.aspace);
-    c_heap_pages = heap_pages }
+  let record, _slots = Lx.build_ckpt lx ~machine ~heap_pages in
+  { record with Ckpt.c_regions = Lx.private_regions lx }
 
 let checkpoint_cost record =
   let bytes = Ckpt.size record in

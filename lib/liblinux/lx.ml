@@ -87,9 +87,7 @@ let sock_overhead_roundtrip = Time.us 1.0  (** AF_UNIX PAL translation *)
 
 (* {1 Types} *)
 
-type epoll_state = { mutable interest : int list }
-(** an interest set of fds; readiness is O(ready), not O(interest)
-    like [select] (docs/WEB.md) *)
+open Posix
 
 type fd_kind =
   | Kfile of { path : string; mutable pos : int }
@@ -103,72 +101,40 @@ type fd_kind =
 
 type fd_entry = {
   mutable fh : K.handle option;
-  mutable kind : fd_kind;
+  kind : fd_kind;
   mutable cloexec : bool;
 }
 
-type child = {
-  c_pid : int;
-  mutable c_status : [ `Running | `Zombie of int ];
-  mutable c_pgid : int;
-}
-
-type t = {
+type own = {
   pal : Pal.t;
   cfg : Ipc_config.t;
   mutable ipc : Ipc.t option;
-  mutable pid : int;
-  mutable ppid : int;
-  mutable pgid : int;
-  mutable parent_addr : string;
-  mutable exe : string;
-  mutable cwd : string;
-  fds : (int, fd_entry) Hashtbl.t;
-  mutable next_fd : int;
-  sigactions : (int, string) Hashtbl.t;
-  mutable sig_pending : int list;
-  mutable sig_blocked : int list;
-  children : (int, child) Hashtbl.t;
-  mutable wait_waiters : (int option * (int * int -> unit)) list;
-  mutable pause_waiters : K.thread list;
-  console : Buffer.t;
-  mutable on_console : (string -> unit) option;
-  mutable brk : int;  (** guest heap size in bytes *)
-  mutable heap_mapped : int;  (** bytes of heap regions actually mapped *)
-  threads : (int, K.thread) Hashtbl.t;  (** guest tid -> host thread *)
-  thread_guest_tid : (int, int) Hashtbl.t;  (** host tid -> guest tid *)
-  mutable done_tids : int list;
-  mutable join_waiters : (int * K.thread) list;
-  mutable next_tid_seq : int;
-  mutable main_thread : K.thread option;
-  mutable exited : bool;
-  mutable exit_code : int;
-  mutable started_at : Time.t option;  (** first app instruction *)
+  parent_addr : string;
   mutable syscall_count : int;
   trace_open : (int, string * Time.t) Hashtbl.t;
       (** host tid -> (syscall, entry time): spans opened at dispatch
           and closed when the call resumes the thread (the calls are in
           continuation-passing style, so a stack scope cannot pair
           them) *)
-  mutable alarm_seq : int;  (** cancels superseded alarm timers *)
-  mutable umask : int;
   path_cache : (string, unit) Fifo_cache.t;
       (** canonical paths this libOS resolved before: a warm repeat
           open/stat reuses the cached dentry + decision and skips the
           duplicated path resolution (gated by [cfg.handle_cache]) *)
 }
 
-let kernel lx = Pal.kernel lx.pal
-let pico lx = Pal.pico lx.pal
-let ipc lx = match lx.ipc with Some i -> i | None -> failwith "Lx: ipc not ready"
+type t = (fd_entry, own) Posix.t
+
+let kernel (lx : t) = lx.kernel
+let pico (lx : t) = lx.pico
+let pal (lx : t) = lx.own.pal
+let ipc (lx : t) = match lx.own.ipc with Some i -> i | None -> failwith "Lx: ipc not ready"
 let addr_of_pico (p : K.pico) = "g" ^ string_of_int p.K.pid
 let my_addr lx = addr_of_pico (pico lx)
-let console_output lx = Buffer.contents lx.console
-let pid lx = lx.pid
-let exited lx = lx.exited
-let exit_code lx = lx.exit_code
-let set_console_hook lx f = lx.on_console <- Some f
-let syscall_count lx = lx.syscall_count
+let console_output (lx : t) = Buffer.contents lx.console
+let exited (lx : t) = lx.exited
+let exit_code (lx : t) = lx.exit_code
+let started_at (lx : t) = lx.started_at
+let syscall_count (lx : t) = lx.own.syscall_count
 
 (* Directory in which libLinux emulates /proc; never touches the host's. *)
 let proc_prefix = "/proc/"
@@ -177,86 +143,52 @@ let vint n = Ast.Vint n
 let vstr s = Ast.Vstr s
 let err tag = Errno.to_value tag
 
-let abspath lx path =
-  if path = "" then lx.cwd
-  else if path.[0] = '/' then path
-  else if lx.cwd = "/" then "/" ^ path
-  else lx.cwd ^ "/" ^ path
-
 (* {1 File descriptors} *)
 
-let alloc_fd lx entry =
-  let fd = lx.next_fd in
-  lx.next_fd <- fd + 1;
-  Hashtbl.replace lx.fds fd entry;
-  fd
+let get_fd (lx : t) fd = Hashtbl.find_opt lx.fds fd
 
-let get_fd lx fd = Hashtbl.find_opt lx.fds fd
-
-let init_std_fds lx =
+let init_std_fds (lx : t) =
   Hashtbl.replace lx.fds 0 { fh = None; kind = Knull; cloexec = false };
   Hashtbl.replace lx.fds 1 { fh = None; kind = Kconsole; cloexec = false };
   Hashtbl.replace lx.fds 2 { fh = None; kind = Kconsole; cloexec = false };
   lx.next_fd <- 3
 
-(* {1 Signals} *)
+(* The entry [dup] and [dup2] install: the same handle and kind, so a
+   file's seek cursor is shared within the process (fork copies it
+   through the checkpoint); a stream endpoint gains a reference. *)
+let dup_entry lx e =
+  (match e.fh with
+  | Some { K.obj = K.Hstream ep; _ } ->
+    Stream.addref ep;
+    K.register_endpoint (kernel lx) (pico lx) ep
+  | _ -> ());
+  { e with cloexec = false }
 
-(* Decide what to do with every deliverable pending signal given the
-   (resumed) machine: inject handler calls, or conclude the process
-   must die. *)
-let apply_pending_signals lx m =
-  let rec loop m = function
-    | [] -> `Machine m
-    | signum :: rest ->
-      if List.mem signum lx.sig_blocked then begin
-        (* stays pending *)
-        match loop m rest with
-        | `Machine m' ->
-          lx.sig_pending <- signum :: lx.sig_pending;
-          `Machine m'
-        | other -> other
-      end
-      else begin
-        match Hashtbl.find_opt lx.sigactions signum with
-        | Some handler when Interp.has_func m handler && Signal.catchable signum ->
-          loop (Interp.interrupt m ~func:handler ~args:[ Ast.Vint signum ]) rest
-        | _ -> (
-          match Signal.default_action signum with
-          | Signal.Ignore | Signal.Continue | Signal.Stop -> loop m rest
-          | Signal.Terminate -> `Exit (128 + signum))
-      end
-  in
-  let pending = lx.sig_pending in
-  lx.sig_pending <- [];
-  loop m pending
+(* {1 Resuming the guest} *)
 
-let rec do_exit lx code =
+let rec do_exit (lx : t) code =
   if not lx.exited then begin
     lx.exited <- true;
     lx.exit_code <- code;
-    (match lx.ipc with
+    (match lx.own.ipc with
     | Some i ->
       Ipc.persist_owned_queues i;
-      Ipc.notify_exit i ~parent_addr:lx.parent_addr ~pid:lx.pid ~code;
+      Ipc.notify_exit i ~parent_addr:lx.own.parent_addr ~pid:lx.pid ~code;
       Ipc.shutdown i
     | None -> ());
-    Pal.process_exit lx.pal code
+    Pal.process_exit lx.own.pal code
   end
 
-(* Resume [th] with the machine [m], delivering pending signals first. *)
-and continue lx th m ~cost =
-  if not lx.exited then begin
-    match apply_pending_signals lx m with
-    | `Exit code -> do_exit lx code
-    | `Machine m -> K.set_machine (kernel lx) th m ~cost
-  end
-
-and finish lx th ?(cost = Cost.libos_call) v =
+(* Resume [th] with [v], delivering pending signals first. *)
+and finish (lx : t) th ?(cost = Cost.libos_call) v =
   if not lx.exited then begin
     close_syscall_span lx th ~cost;
     match th.K.machine with
     | None -> ()
-    | Some m -> continue lx th (Interp.resume m v) ~cost
+    | Some m -> (
+      match Posix.apply_pending_signals lx (Interp.resume m v) with
+      | `Exit code -> do_exit lx code
+      | `Machine m -> K.set_machine (kernel lx) th m ~cost)
   end
 
 (* Close the Liblinux span opened at [dispatch]: the interval from
@@ -264,11 +196,11 @@ and finish lx th ?(cost = Cost.libos_call) v =
    the libOS-side cost charged on the way out. Spans only open while
    tracing, so an empty table skips the lookup. *)
 and close_syscall_span lx th ~cost =
-  if Hashtbl.length lx.trace_open > 0 then
-    match Hashtbl.find_opt lx.trace_open th.K.tid with
+  if Hashtbl.length lx.own.trace_open > 0 then
+    match Hashtbl.find_opt lx.own.trace_open th.K.tid with
     | None -> ()
     | Some (name, t0) ->
-      Hashtbl.remove lx.trace_open th.K.tid;
+      Hashtbl.remove lx.own.trace_open th.K.tid;
       let tracer = (kernel lx).K.tracer in
       let dur = Time.add (Time.diff (K.now (kernel lx)) t0) cost in
       if Obs.enabled tracer then begin
@@ -289,6 +221,16 @@ and close_syscall_span lx th ~cost =
 
 let fail lx th ?cost tag = finish lx th ?cost (err tag)
 
+let reply lx th ?cost = function Ok () -> finish lx th ?cost (vint 0) | Error e -> fail lx th e
+
+(* A signal that finds the main thread running a CPU loop is injected
+   at its next step through the PAL's exception upcall
+   (DkThreadInterrupt -> [on_pal_exception]). *)
+let ops =
+  { Posix.resume = (fun lx th v -> finish lx th v);
+    terminate = do_exit;
+    interrupt = (fun lx th -> Pal.thread_interrupt lx.own.pal th (fun _ -> ())) }
+
 (* {1 libOS handle fast path}
 
    [path_hit_cost] is called on the success path of open/stat/access:
@@ -304,20 +246,20 @@ let lx_count lx name =
 let handle_cache_capacity = 256
 
 let path_hit_cost lx path =
-  if not lx.cfg.Ipc_config.handle_cache then Cost.libos_path_resolution
-  else if Fifo_cache.mem lx.path_cache path then begin
+  if not lx.own.cfg.Ipc_config.handle_cache then Cost.libos_path_resolution
+  else if Fifo_cache.mem lx.own.path_cache path then begin
     lx_count lx "liblinux.handle_cache.hit";
     Cost.libos_path_fast
   end
   else begin
     lx_count lx "liblinux.handle_cache.miss";
-    if Fifo_cache.add lx.path_cache path () <> None then
+    if Fifo_cache.add lx.own.path_cache path () <> None then
       lx_count lx "liblinux.handle_cache.evict";
     Cost.libos_path_resolution
   end
 
 let path_cache_invalidate lx path =
-  if Fifo_cache.remove lx.path_cache path then lx_count lx "liblinux.handle_cache.invalidate"
+  if Fifo_cache.remove lx.own.path_cache path then lx_count lx "liblinux.handle_cache.invalidate"
 
 (* {1 vDSO page}
 
@@ -333,7 +275,7 @@ let vdso_uid = 1000
 (* (Re)publish this picoprocess's state page: at boot, after restore,
    after a sandbox split, and lazily after any fast-path miss. *)
 let vdso_publish lx =
-  if lx.cfg.Ipc_config.vdso then begin
+  if lx.own.cfg.Ipc_config.vdso then begin
     lx_count lx "liblinux.vdso.publish";
     ignore
       (K.vdso_page_publish (kernel lx) ~host_pid:(pico lx).K.pid ~pid:lx.pid
@@ -344,7 +286,7 @@ let vdso_publish lx =
    of this sandbox; anything else is a miss and the caller falls back
    to libOS state or the PAL. *)
 let vdso_page lx =
-  if not lx.cfg.Ipc_config.vdso then None
+  if not lx.own.cfg.Ipc_config.vdso then None
   else
     match K.vdso_page_lookup (kernel lx) ~host_pid:(pico lx).K.pid with
     | Some p when p.K.vd_pid = lx.pid && p.K.vd_sandbox = (pico lx).K.sandbox ->
@@ -382,47 +324,12 @@ let with_ipc lx th op k =
   in
   attempt ipc_sys_retries
 
-(* A signal arrived (locally or by RPC). SIGKILL is never deferred;
-   other signals are marked pending and, if the main thread is running
-   a CPU loop, injected at the next interpreter step via the machine
-   (the moral equivalent of DkThreadInterrupt). Blocked [pause]rs wake
-   with EINTR. *)
-let post_signal lx signum =
-  if lx.exited then false
-  else if signum = Signal.sigkill then begin
-    do_exit lx (128 + signum);
-    true
-  end
-  else begin
-    lx.sig_pending <- lx.sig_pending @ [ signum ];
-    (* wake pause()rs: they return -EINTR, handlers run on the way out *)
-    let pausers = lx.pause_waiters in
-    lx.pause_waiters <- [];
-    List.iter (fun th -> fail lx th E.EINTR) pausers;
-    (* a CPU-spinning thread never reaches a syscall boundary:
-       interrupt it through the PAL's exception upcall
-       (DkThreadInterrupt -> the handler we registered at boot) *)
-    (match lx.main_thread with
-    | Some th when th.K.tstate = `Runnable ->
-      Pal.thread_interrupt lx.pal th (fun _ -> ())
-    | _ -> ());
-    true
-  end
-
 (* The PAL exception upcall: on [Interrupted], inject the pending
    signal handlers into the thread's machine at its next step
    boundary; hardware faults terminate like SIGSEGV. *)
-let on_pal_exception lx th info =
-  if not lx.exited then
-    match info with
-    | Pal.Interrupted -> (
-      match th.K.machine with
-      | Some m -> (
-        match apply_pending_signals lx m with
-        | `Exit code -> do_exit lx code
-        | `Machine m' -> th.K.machine <- Some m')
-      | None -> ())
-    | Pal.Div_zero | Pal.Mem_fault _ | Pal.Illegal _ -> do_exit lx (128 + Signal.sigsegv)
+let on_pal_exception lx th = function
+  | Pal.Interrupted -> Posix.inject_signals lx th
+  | Pal.Div_zero | Pal.Mem_fault _ | Pal.Illegal _ -> do_exit lx (128 + Signal.sigsegv)
 
 (* {1 /proc} *)
 
@@ -451,94 +358,23 @@ let parse_proc_path path =
     match int_of_string_opt pid with Some p -> Some (p, field) | None -> None)
   | _ -> None
 
-(* {1 Wait and children} *)
-
-let find_zombie lx pid_filter =
-  let matches c = match pid_filter with None -> true | Some p -> c.c_pid = p in
-  Hashtbl.fold
-    (fun _ c acc ->
-      match (acc, c.c_status) with
-      | None, `Zombie code when matches c -> Some (c.c_pid, code)
-      | _ -> acc)
-    lx.children None
-
-let mark_zombie lx cpid code =
-  match Hashtbl.find_opt lx.children cpid with
-  | Some c when c.c_status = `Running ->
-    c.c_status <- `Zombie code;
-    ignore (post_signal lx Signal.sigchld);
-    (* wake one matching waiter *)
-    let rec take acc = function
-      | [] -> None
-      | ((filt, k) as w) :: rest -> (
-        match filt with
-        | Some p when p <> cpid -> take (w :: acc) rest
-        | _ -> Some (k, List.rev_append acc rest))
-    in
-    (match take [] lx.wait_waiters with
-    | Some (k, rest) ->
-      lx.wait_waiters <- rest;
-      Hashtbl.remove lx.children cpid;
-      k (cpid, code)
-    | None -> ())
-  | _ -> ()
-
-let do_wait lx th pid_filter =
-  match find_zombie lx pid_filter with
-  | Some (cpid, code) ->
-    Hashtbl.remove lx.children cpid;
-    finish lx th ~cost:(Time.us 1.0) (Ast.Vpair (vint cpid, vint code))
-  | None ->
-    if Hashtbl.length lx.children = 0 then fail lx th E.ECHILD
-    else
-      lx.wait_waiters <-
-        lx.wait_waiters
-        @ [ (pid_filter, fun (cpid, code) -> finish lx th (Ast.Vpair (vint cpid, vint code))) ]
-
 (* {1 Construction} *)
 
 let make ~pal ~cfg ~pid ~ppid ~pgid ~parent_addr ~exe =
-  { pal;
-    cfg;
-    ipc = None;
-    pid;
-    ppid;
-    pgid;
-    parent_addr;
-    exe;
-    cwd = "/";
-    fds = Hashtbl.create 16;
-    next_fd = 3;
-    sigactions = Hashtbl.create 8;
-    sig_pending = [];
-    sig_blocked = [];
-    children = Hashtbl.create 8;
-    wait_waiters = [];
-    pause_waiters = [];
-    console = Buffer.create 256;
-    on_console = None;
-    brk = 0;
-    heap_mapped = 0;
-    threads = Hashtbl.create 4;
-    thread_guest_tid = Hashtbl.create 4;
-    done_tids = [];
-    join_waiters = [];
-    next_tid_seq = 1;
-    main_thread = None;
-    exited = false;
-    exit_code = 0;
-    started_at = None;
-    syscall_count = 0;
-    trace_open = Hashtbl.create 4;
-    alarm_seq = 0;
-    umask = 0o022;
-    path_cache = Fifo_cache.create ~capacity:handle_cache_capacity }
+  Posix.make ~ops ~kernel:(Pal.kernel pal) ~pico:(Pal.pico pal) ~pid ~ppid ~pgid ~exe
+    ~own:
+      { pal;
+        cfg;
+        ipc = None;
+        parent_addr;
+        syscall_count = 0;
+        trace_open = Hashtbl.create 4;
+        path_cache = Fifo_cache.create ~capacity:handle_cache_capacity }
 
-let callbacks_of lx =
+let callbacks_of (lx : t) =
   { Ipc.deliver_signal =
-      (fun ~signum ~from_pid:_ ~to_pid ->
-        if to_pid = lx.pid && not lx.exited then post_signal lx signum else false);
-    on_exit_notification = (fun ~pid ~code -> mark_zombie lx pid code);
+      (fun ~signum ~from_pid:_ ~to_pid -> to_pid = lx.pid && Posix.post_signal lx signum);
+    on_exit_notification = (fun ~pid ~code -> Posix.mark_zombie lx pid code);
     proc_read =
       (fun ~pid ~field ->
         if pid = lx.pid then render_proc_local lx ~field else Error E.ESRCH) }
@@ -579,21 +415,20 @@ let map_libos_images lx ~app_bytes ~scratch =
 (* {1 The system call dispatcher} *)
 
 let rec dispatch lx th name args =
-  lx.syscall_count <- lx.syscall_count + 1;
+  lx.own.syscall_count <- lx.own.syscall_count + 1;
   let tracer = (kernel lx).K.tracer in
   if Obs.enabled tracer then begin
     Obs.count tracer "liblinux.syscalls";
     (* nested dispatches (writev -> write) keep the outer span *)
-    if not (Hashtbl.mem lx.trace_open th.K.tid) then
-      Hashtbl.replace lx.trace_open th.K.tid (name, K.now (kernel lx))
+    if not (Hashtbl.mem lx.own.trace_open th.K.tid) then
+      Hashtbl.replace lx.own.trace_open th.K.tid (name, K.now (kernel lx))
   end;
-  try dispatch_inner lx th name args
-  with Ast.Guest_fault _ -> fail lx th E.EINVAL
+  Posix.guard lx th dispatch_inner name args
 
+(* Every argument is decoded before the first PAL call: a continuation
+   runs after [Posix.guard] has returned. *)
 and dispatch_inner lx th name args =
-  let a n = List.nth args n in
-  let int_arg n = Ast.as_int (a n) in
-  let str_arg n = Ast.as_str (a n) in
+  let a = Posix.arg args and int_arg = Posix.int_arg args and str_arg = Posix.str_arg args in
   match name with
   (* {2 Identity — serviced from the vDSO state page when valid,
      otherwise purely from libOS state (Table 6 row 1). Both are local
@@ -606,106 +441,91 @@ and dispatch_inner lx th name args =
     match vdso_page lx with
     | Some p -> finish lx th (vint p.K.vd_ppid)
     | None -> finish lx th (vint lx.ppid))
-  | "getpgid" -> finish lx th (vint lx.pgid)
-  | "setpgid" ->
-    lx.pgid <- int_arg 0;
-    finish lx th (vint 0)
-  | "gettid" ->
-    let gtid =
-      Option.value ~default:lx.pid (Hashtbl.find_opt lx.thread_guest_tid th.K.tid)
-    in
-    finish lx th (vint gtid)
   | "getuid" | "geteuid" -> (
     match vdso_page lx with
     | Some p -> finish lx th (vint p.K.vd_uid)
     | None -> finish lx th (vint vdso_uid))
   | "uname" -> finish lx th (vstr "Linux graphene 3.5.0-libos x86_64")
-  | "sysinfo" -> finish lx th (vint (kernel lx).K.cores)
-  | "getrss" -> finish lx th (vint (Memory.rss (pico lx).K.aspace))
   (* {2 Console} *)
   | "print" ->
     (* variadic: all string arguments are concatenated *)
     let s = String.concat "" (List.map Ast.as_str args) in
-    ignore (str_arg : int -> string);
-    Buffer.add_string lx.console s;
-    (match lx.on_console with Some f -> f s | None -> ());
-    finish lx th ~cost:(Time.ns 150) (vint (String.length s))
+    finish lx th ~cost:(Time.ns 150) (vint (Posix.console_write lx s))
   (* {2 Files} *)
-  | "open" -> do_open lx th (abspath lx (str_arg 0)) (str_arg 1)
+  | "open" -> do_open lx th (Posix.abspath lx (str_arg 0)) (str_arg 1)
   | "close" -> (
-    match get_fd lx (int_arg 0) with
+    let fd = int_arg 0 in
+    match get_fd lx fd with
     | None -> fail lx th E.EBADF
-    | Some e ->
-      Hashtbl.remove lx.fds (int_arg 0);
-      (match e.fh with
-      | Some h -> Pal.stream_close lx.pal h (fun _ -> finish lx th (vint 0))
+    | Some e -> (
+      Hashtbl.remove lx.fds fd;
+      match e.fh with
+      | Some h -> Pal.stream_close lx.own.pal h (fun _ -> finish lx th (vint 0))
       | None -> finish lx th (vint 0)))
   | "read" -> do_read lx th (int_arg 0) (int_arg 1)
   | "write" -> do_write lx th (int_arg 0) (str_arg 1)
   | "lseek" -> (
-    match get_fd lx (int_arg 0) with
-    | Some { kind = Kfile f; fh = Some _; _ } -> (
-      let off = int_arg 1 in
-      match str_arg 2 with
-      | "set" ->
-        f.pos <- off;
-        finish lx th (vint f.pos)
-      | "cur" ->
-        f.pos <- f.pos + off;
-        finish lx th (vint f.pos)
-      | "end" ->
-        Pal.stream_attributes_query lx.pal ("file:" ^ f.path) (function
-          | Ok attrs ->
-            f.pos <- attrs.Pal.size + off;
-            finish lx th (vint f.pos)
+    let fd = int_arg 0 and off = int_arg 1 and whence = str_arg 2 in
+    match get_fd lx fd with
+    | Some { kind = Kfile f; fh = Some _; _ } ->
+      let seek size =
+        match Posix.seek ~pos:f.pos ~size off whence with
+        | Ok pos ->
+          f.pos <- pos;
+          finish lx th (vint pos)
+        | Error e -> fail lx th e
+      in
+      if whence <> "end" then seek 0
+      else
+        Pal.stream_attributes_query lx.own.pal ("file:" ^ f.path) (function
+          | Ok attrs -> seek attrs.Pal.size
           | Error e -> fail lx th e)
-      | _ -> fail lx th E.EINVAL)
     | Some _ -> fail lx th E.ESPIPE
     | None -> fail lx th E.EBADF)
   | "stat" ->
-    let path = abspath lx (str_arg 0) in
-    Pal.stream_attributes_query lx.pal ("file:" ^ path) (function
+    let path = Posix.abspath lx (str_arg 0) in
+    Pal.stream_attributes_query lx.own.pal ("file:" ^ path) (function
       | Ok attrs ->
         finish lx th ~cost:(path_hit_cost lx path)
           (Ast.Vpair (vint attrs.Pal.size, vint (if attrs.Pal.is_dir then 1 else 0)))
       | Error e -> fail lx th e)
   | "access" ->
-    let path = abspath lx (str_arg 0) in
-    Pal.stream_attributes_query lx.pal ("file:" ^ path) (function
+    let path = Posix.abspath lx (str_arg 0) in
+    Pal.stream_attributes_query lx.own.pal ("file:" ^ path) (function
       | Ok _ -> finish lx th ~cost:(path_hit_cost lx path) (vint 0)
       | Error e -> fail lx th e)
   | "unlink" ->
-    let path = abspath lx (str_arg 0) in
-    Pal.stream_delete lx.pal ("file:" ^ path) (function
+    let path = Posix.abspath lx (str_arg 0) in
+    Pal.stream_delete lx.own.pal ("file:" ^ path) (function
       | Ok () ->
         path_cache_invalidate lx path;
         finish lx th ~cost:Cost.libos_path_resolution (vint 0)
       | Error e -> fail lx th e)
   | "rename" ->
-    let src = abspath lx (str_arg 0) and dst = abspath lx (str_arg 1) in
-    Pal.stream_change_name lx.pal ~src:("file:" ^ src) ~dst:("file:" ^ dst) (function
+    let src = Posix.abspath lx (str_arg 0) and dst = Posix.abspath lx (str_arg 1) in
+    Pal.stream_change_name lx.own.pal ~src:("file:" ^ src) ~dst:("file:" ^ dst) (function
       | Ok () ->
         path_cache_invalidate lx src;
         path_cache_invalidate lx dst;
         finish lx th ~cost:Cost.libos_path_resolution (vint 0)
       | Error e -> fail lx th e)
   | "mkdir" ->
-    Pal.directory_create lx.pal ("dir:" ^ abspath lx (str_arg 0)) (function
+    Pal.directory_create lx.own.pal ("dir:" ^ Posix.abspath lx (str_arg 0)) (function
       | Ok () -> finish lx th ~cost:Cost.libos_path_resolution (vint 0)
       | Error e -> fail lx th e)
   | "readdir" ->
-    Pal.stream_open lx.pal ("dir:" ^ abspath lx (str_arg 0)) ~write:false ~create:false
+    Pal.stream_open lx.own.pal ("dir:" ^ Posix.abspath lx (str_arg 0)) ~write:false ~create:false
       (function
       | Error e -> fail lx th e
       | Ok h ->
-        Pal.directory_list lx.pal h (function
+        Pal.directory_list lx.own.pal h (function
           | Ok names ->
             finish lx th ~cost:Cost.libos_path_resolution
               (Ast.Vlist (List.map (fun n -> vstr n) names))
           | Error e -> fail lx th e))
   | "chdir" ->
-    let path = abspath lx (str_arg 0) in
-    Pal.stream_attributes_query lx.pal ("file:" ^ path) (function
+    let path = Posix.abspath lx (str_arg 0) in
+    Pal.stream_attributes_query lx.own.pal ("file:" ^ path) (function
       | Ok attrs ->
         if attrs.Pal.is_dir then begin
           lx.cwd <- path;
@@ -713,187 +533,135 @@ and dispatch_inner lx th name args =
         end
         else fail lx th E.ENOTDIR
       | Error e -> fail lx th e)
-  | "getcwd" -> finish lx th (vstr lx.cwd)
   | "dup2" -> (
     (* replace [newfd] with a copy of [oldfd]; the shell uses it to
        wire pipeline ends onto stdin/stdout before exec *)
-    match get_fd lx (int_arg 0) with
+    let oldfd = int_arg 0 and newfd = int_arg 1 in
+    match get_fd lx oldfd with
     | None -> fail lx th E.EBADF
     | Some e ->
-      let newfd = int_arg 1 in
       (match get_fd lx newfd with
-      | Some { fh = Some h; _ } when newfd <> int_arg 0 ->
-        Pal.stream_close lx.pal h (fun _ -> ())
+      | Some { fh = Some h; _ } when newfd <> oldfd -> Pal.stream_close lx.own.pal h (fun _ -> ())
       | _ -> ());
-      (match e.fh with
-      | Some { K.obj = K.Hstream ep; _ } ->
-        Stream.addref ep;
-        K.register_endpoint (kernel lx) (pico lx) ep
-      | _ -> ());
-      let kind =
-        match e.kind with
-        | Kfile f -> Kfile { path = f.path; pos = f.pos }
-        | Kproc pr -> Kproc { content = pr.content; pos = pr.pos }
-        | k -> k
-      in
-      Hashtbl.replace lx.fds newfd { fh = e.fh; kind; cloexec = false };
+      Hashtbl.replace lx.fds newfd (dup_entry lx e);
       lx.next_fd <- max lx.next_fd (newfd + 1);
       finish lx th ~cost:(Time.ns 220) (vint newfd))
   | "dup" -> (
     match get_fd lx (int_arg 0) with
     | None -> fail lx th E.EBADF
-    | Some e ->
-      (match e.fh with
-      | Some { K.obj = K.Hstream ep; _ } ->
-        Stream.addref ep;
-        K.register_endpoint (kernel lx) (pico lx) ep
-      | _ -> ());
-      let kind =
-        match e.kind with
-        | Kfile f -> Kfile { path = f.path; pos = f.pos }
-        | Kproc p -> Kproc { content = p.content; pos = p.pos }
-        | k -> k
-      in
-      finish lx th ~cost:(Time.ns 200) (vint (alloc_fd lx { fh = e.fh; kind; cloexec = false })))
+    | Some e -> finish lx th ~cost:(Time.ns 200) (vint (Posix.alloc_fd lx (dup_entry lx e))))
   | "truncate" ->
-    Pal.stream_open lx.pal ("file:" ^ abspath lx (str_arg 0)) ~write:true ~create:false
+    let path = Posix.abspath lx (str_arg 0) and len = int_arg 1 in
+    Pal.stream_open lx.own.pal ("file:" ^ path) ~write:true ~create:false
       (function
       | Error e -> fail lx th e
       | Ok h ->
-        Pal.stream_set_length lx.pal h (int_arg 1) (function
+        Pal.stream_set_length lx.own.pal h len (function
           | Ok () ->
-            Pal.stream_close lx.pal h (fun _ -> ());
+            Pal.stream_close lx.own.pal h (fun _ -> ());
             finish lx th (vint 0)
           | Error e -> fail lx th e))
   | "fstat" -> (
     match get_fd lx (int_arg 0) with
     | Some { kind = Kfile f; _ } ->
-      Pal.stream_attributes_query lx.pal ("file:" ^ f.path) (function
+      Pal.stream_attributes_query lx.own.pal ("file:" ^ f.path) (function
         | Ok attrs ->
           finish lx th (Ast.Vpair (vint attrs.Pal.size, vint (if attrs.Pal.is_dir then 1 else 0)))
         | Error e -> fail lx th e)
     | Some _ -> finish lx th (Ast.Vpair (vint 0, vint 0))
     | None -> fail lx th E.EBADF)
   | "rmdir" ->
-    let path = abspath lx (str_arg 0) in
-    Pal.stream_delete lx.pal ("dir:" ^ path) (function
+    let path = Posix.abspath lx (str_arg 0) in
+    Pal.stream_delete lx.own.pal ("dir:" ^ path) (function
       | Ok () ->
         path_cache_invalidate lx path;
         finish lx th ~cost:Cost.libos_path_resolution (vint 0)
       | Error e -> fail lx th e)
-  | "umask" ->
-    let old = lx.umask in
-    lx.umask <- int_arg 0 land 0o777;
-    finish lx th (vint old)
   | "sync" ->
     (* flush everything: a couple of host fsyncs' worth *)
     finish lx th ~cost:(Time.us 8.0) (vint 0)
-  | "getrusage" ->
-    (* (maxrss bytes, user time ns) *)
-    finish lx th
-      (Ast.Vpair
-         ( vint (max (pico lx).K.peak_rss (Memory.rss (pico lx).K.aspace)),
-           vint (K.now (kernel lx)) ))
   | "writev" ->
     (* vector write: a list of strings, one syscall *)
-    let parts = List.map Ast.as_str (Ast.as_list (a 1)) in
-    dispatch lx th "write" [ a 0; vstr (String.concat "" parts) ]
+    let fd = a 0 and parts = List.map Ast.as_str (Ast.as_list (a 1)) in
+    dispatch lx th "write" [ fd; vstr (String.concat "" parts) ]
   | "sendfile" -> (
     (* copy [n] bytes from in-fd to out-fd without guest copies *)
-    match (get_fd lx (int_arg 0), get_fd lx (int_arg 1)) with
-    | Some ({ kind = Kfile inf; fh = Some inh; _ } as _e), Some out_e -> (
-      let n = int_arg 2 in
-      Pal.stream_read lx.pal inh ~off:inf.pos ~max:n (function
+    let infd = int_arg 0 and outfd = int_arg 1 and n = int_arg 2 in
+    match (get_fd lx infd, get_fd lx outfd) with
+    | Some { kind = Kfile inf; fh = Some inh; _ }, Some out_e -> (
+      Pal.stream_read lx.own.pal inh ~off:inf.pos ~max:n (function
         | Error e -> fail lx th e
         | Ok data -> (
           inf.pos <- inf.pos + String.length data;
           match (out_e.kind, out_e.fh) with
-          | Kconsole, _ ->
-            Buffer.add_string lx.console data;
-            (match lx.on_console with Some f -> f data | None -> ());
-            finish lx th (vint (String.length data))
+          | Kconsole, _ -> finish lx th (vint (Posix.console_write lx data))
           | Kfile outf, Some outh ->
-            Pal.stream_write lx.pal outh ~off:outf.pos data (function
+            Pal.stream_write lx.own.pal outh ~off:outf.pos data (function
               | Ok m ->
                 outf.pos <- outf.pos + m;
                 finish lx th (vint m)
               | Error e -> fail lx th e)
           | Kstream _, Some outh ->
-            Pal.stream_write lx.pal outh ~off:0 data (function
+            Pal.stream_write lx.own.pal outh ~off:0 data (function
               | Ok m -> finish lx th (vint m)
               | Error e -> fail lx th e)
           | _ -> fail lx th E.EBADF)))
     | _ -> fail lx th E.EBADF)
   | "alarm" ->
-    (* SIGALRM after n seconds; alarm 0 cancels; returns 0 (the
-       remaining-time report is not modeled) *)
-    let secs = int_arg 0 in
-    lx.alarm_seq <- lx.alarm_seq + 1;
-    let seq = lx.alarm_seq in
-    if secs > 0 then
-      K.after (kernel lx) (Time.s (float_of_int secs)) (fun () ->
-          if (not lx.exited) && lx.alarm_seq = seq then
-            ignore (post_signal lx Signal.sigalrm));
+    (* returns 0: the remaining-time report is not modeled *)
+    Posix.alarm lx (int_arg 0);
     finish lx th ~cost:(Time.ns 180) (vint 0)
   | "fsync" -> (
     match get_fd lx (int_arg 0) with
     | Some { fh = Some h; _ } ->
-      Pal.stream_flush lx.pal h (fun _ -> finish lx th (vint 0))
+      Pal.stream_flush lx.own.pal h (fun _ -> finish lx th (vint 0))
     | Some _ -> finish lx th (vint 0)
     | None -> fail lx th E.EBADF)
   | "pipe" ->
-    Pal.pipe_pair lx.pal (function
+    Pal.pipe_pair lx.own.pal (function
       | Error e -> fail lx th e
       | Ok (h1, h2) ->
-        let rfd = alloc_fd lx { fh = Some h1; kind = Kstream { sock = false }; cloexec = false } in
-        let wfd = alloc_fd lx { fh = Some h2; kind = Kstream { sock = false }; cloexec = false } in
+        let rfd = Posix.alloc_fd lx { fh = Some h1; kind = Kstream { sock = false }; cloexec = false } in
+        let wfd = Posix.alloc_fd lx { fh = Some h2; kind = Kstream { sock = false }; cloexec = false } in
         finish lx th ~cost:(Time.us 1.0) (Ast.Vpair (vint rfd, vint wfd)))
   (* {2 Network} *)
   | "listen_tcp" ->
-    Pal.stream_open lx.pal (Printf.sprintf "tcp.srv:%d" (int_arg 0)) ~write:true ~create:true
+    let port = int_arg 0 in
+    Pal.stream_open lx.own.pal (Printf.sprintf "tcp.srv:%d" port) ~write:true ~create:true
       (function
       | Ok h ->
-        finish lx th (vint (alloc_fd lx { fh = Some h; kind = Klisten { port = int_arg 0 }; cloexec = false }))
+        finish lx th (vint (Posix.alloc_fd lx { fh = Some h; kind = Klisten { port }; cloexec = false }))
       | Error e -> fail lx th e)
-  | "accept" -> (
+  | "accept" | "accept_try" -> (
+    (* accept_try is accept on a non-blocking listener: -1 when no
+       connection is pending. An event-loop worker must never sleep
+       anywhere but its poll call — a blocking accept on stale epoll
+       readiness would park it (and the accept semaphore it holds)
+       while its own registered fds turn readable (docs/WEB.md). The
+       backlog check cannot go stale before the accept lands: only the
+       semaphore holder consumes the backlog, and the caller is
+       holding it *)
     match get_fd lx (int_arg 0) with
     | Some { fh = Some h; kind = Klisten _; _ } ->
-      Pal.stream_wait_for_client lx.pal h (function
-        | Ok conn ->
-          finish lx th ~cost:(Time.us 1.0)
-            (vint (alloc_fd lx { fh = Some conn; kind = Kstream { sock = true }; cloexec = false }))
-        | Error e -> fail lx th e)
-    | _ -> fail lx th E.ENOTSOCK)
-  | "accept_try" -> (
-    (* accept on a non-blocking listener: -1 when no connection is
-       pending. An event-loop worker must never sleep anywhere but its
-       poll call — a blocking accept on stale epoll readiness would
-       park it (and the accept semaphore it holds) while its own
-       registered fds turn readable (docs/WEB.md). The backlog check
-       cannot go stale before the accept lands: only the semaphore
-       holder consumes the backlog, and the caller is holding it *)
-    match get_fd lx (int_arg 0) with
-    | Some { fh = Some h; kind = Klisten _; _ } -> (
-      match h.K.obj with
-      | K.Hserver srv when srv.K.backlog <> [] ->
-        Pal.stream_wait_for_client lx.pal h (function
+      let pending = match h.K.obj with K.Hserver srv -> srv.K.backlog <> [] | _ -> false in
+      if name = "accept_try" && not pending then finish lx th ~cost:(Time.ns 300) (vint (-1))
+      else
+        Pal.stream_wait_for_client lx.own.pal h (function
           | Ok conn ->
             finish lx th ~cost:(Time.us 1.0)
-              (vint
-                 (alloc_fd lx { fh = Some conn; kind = Kstream { sock = true }; cloexec = false }))
+              (vint (Posix.alloc_fd lx { fh = Some conn; kind = Kstream { sock = true }; cloexec = false }))
           | Error e -> fail lx th e)
-      | _ -> finish lx th ~cost:(Time.ns 300) (vint (-1)))
     | _ -> fail lx th E.ENOTSOCK)
   | "connect_tcp" ->
-    Pal.stream_open lx.pal (Printf.sprintf "tcp:%d" (int_arg 0)) ~write:true ~create:false
+    Pal.stream_open lx.own.pal (Printf.sprintf "tcp:%d" (int_arg 0)) ~write:true ~create:false
       (function
       | Ok h ->
         finish lx th ~cost:(Time.us 1.0)
-          (vint (alloc_fd lx { fh = Some h; kind = Kstream { sock = true }; cloexec = false }))
+          (vint (Posix.alloc_fd lx { fh = Some h; kind = Kstream { sock = true }; cloexec = false }))
       | Error e -> fail lx th e)
   | "shutdown" -> (
     match get_fd lx (int_arg 0) with
-    | Some { fh = Some h; _ } -> Pal.stream_close lx.pal h (fun _ -> finish lx th (vint 0))
+    | Some { fh = Some h; _ } -> Pal.stream_close lx.own.pal h (fun _ -> finish lx th (vint 0))
     | _ -> fail lx th E.EBADF)
   | "select" -> do_select lx th (Ast.as_list (a 0))
   (* {2 epoll}
@@ -905,22 +673,11 @@ and dispatch_inner lx th name args =
      docs/WEB.md. *)
   | "epoll_create" ->
     finish lx th ~cost:Cost.epoll_op
-      (vint (alloc_fd lx { fh = None; kind = Kepoll { interest = [] }; cloexec = false }))
+      (vint (Posix.alloc_fd lx { fh = None; kind = Kepoll { interest = [] }; cloexec = false }))
   | "epoll_ctl" -> (
-    match get_fd lx (int_arg 0) with
-    | Some { kind = Kepoll e; _ } -> (
-      let fd = int_arg 2 in
-      match str_arg 1 with
-      | "add" ->
-        if get_fd lx fd = None then fail lx th E.EBADF
-        else begin
-          if not (List.mem fd e.interest) then e.interest <- e.interest @ [ fd ];
-          finish lx th ~cost:Cost.epoll_op (vint 0)
-        end
-      | "del" ->
-        e.interest <- List.filter (fun f -> f <> fd) e.interest;
-        finish lx th ~cost:Cost.epoll_op (vint 0)
-      | _ -> fail lx th E.EINVAL)
+    let epfd = int_arg 0 and op = str_arg 1 and fd = int_arg 2 in
+    match get_fd lx epfd with
+    | Some { kind = Kepoll e; _ } -> reply lx th ~cost:Cost.epoll_op (Posix.epoll_ctl lx e op fd)
     | Some _ -> fail lx th E.EINVAL
     | None -> fail lx th E.EBADF)
   | "epoll_wait" -> (
@@ -930,29 +687,17 @@ and dispatch_inner lx th name args =
     | None -> fail lx th E.EBADF)
   (* {2 Signals} *)
   | "sigaction" ->
-    Hashtbl.replace lx.sigactions (int_arg 0) (str_arg 1);
-    finish lx th ~cost:Cost.libos_sig_install (vint 0)
-  | "sigprocmask" -> (
-    let signum = int_arg 1 in
-    match str_arg 0 with
-    | "block" ->
-      if not (List.mem signum lx.sig_blocked) then lx.sig_blocked <- signum :: lx.sig_blocked;
-      finish lx th (vint 0)
-    | "unblock" ->
-      lx.sig_blocked <- List.filter (fun s -> s <> signum) lx.sig_blocked;
-      finish lx th (vint 0)
-    | _ -> fail lx th E.EINVAL)
-  | "kill" -> do_kill lx th (int_arg 0) (int_arg 1)
-  | "pause" -> lx.pause_waiters <- th :: lx.pause_waiters
+    reply lx th ~cost:Cost.libos_sig_install (Posix.sigaction lx (int_arg 0) (str_arg 1))
+  | "kill" ->
+    let target = int_arg 0 and signum = int_arg 1 in
+    if Posix.valid_signal signum then do_kill lx th target signum else fail lx th E.EINVAL
   (* {2 Process lifecycle} *)
   | "fork" -> do_fork lx th
   | "execve" ->
-    do_exec lx th (abspath lx (str_arg 0)) (List.map Ast.as_str (Ast.as_list (a 1)))
-  | "exit" -> do_exit lx (int_arg 0)
-  | "wait" -> do_wait lx th None
-  | "waitpid" ->
-    let p = int_arg 0 in
-    do_wait lx th (if p = -1 then None else Some p)
+    do_exec lx th (Posix.abspath lx (str_arg 0)) (List.map Ast.as_str (Ast.as_list (a 1)))
+  | "wait" | "waitpid" ->
+    let pid = if name = "wait" then -1 else int_arg 0 in
+    Option.iter (finish lx th ~cost:(Time.us 1.0)) (Posix.wait lx th pid)
   (* {2 System V IPC} *)
   | "msgget" ->
     with_ipc lx th (Ipc.msgget (ipc lx) ~key:(int_arg 0) ~create:(int_arg 1 <> 0)) (function
@@ -1008,12 +753,12 @@ and dispatch_inner lx th name args =
         | Error e -> fail lx th e))
   (* {2 Memory} *)
   | "mmap" ->
-    Pal.virtual_memory_alloc lx.pal ~bytes:(int_arg 0) ~perm:Memory.rw ~kind:Memory.Mmap
+    Pal.virtual_memory_alloc lx.own.pal ~bytes:(int_arg 0) ~perm:Memory.rw ~kind:Memory.Mmap
       (function
       | Ok base -> finish lx th ~cost:(Time.ns 300) (vint base)
       | Error e -> fail lx th e)
   | "munmap" ->
-    Pal.virtual_memory_free lx.pal ~addr:(int_arg 0) (function
+    Pal.virtual_memory_free lx.own.pal ~addr:(int_arg 0) (function
       | Ok () -> finish lx th (vint 0)
       | Error e -> fail lx th e)
   | "brk" ->
@@ -1026,7 +771,7 @@ and dispatch_inner lx th name args =
     end
     else begin
       let grow = target - lx.heap_mapped in
-      Pal.virtual_memory_alloc lx.pal ~addr:(K.heap_base + lx.heap_mapped) ~bytes:grow
+      Pal.virtual_memory_alloc lx.own.pal ~addr:(K.heap_base + lx.heap_mapped) ~bytes:grow
         ~perm:Memory.rw ~kind:Memory.Heap (function
         | Ok _ ->
           lx.heap_mapped <- lx.heap_mapped + (Memory.pages_of_bytes grow * Memory.page_size);
@@ -1046,19 +791,17 @@ and dispatch_inner lx th name args =
     let data = Memory.read_bytes (pico lx).K.aspace addr n in
     finish lx th ~cost:(Cost.copy_cost n) (vstr data)
   (* {2 Threads} *)
-  | "clone" -> do_clone lx th (str_arg 0) (a 1)
-  | "join" ->
-    let gtid = int_arg 0 in
-    if List.mem gtid lx.done_tids then finish lx th (vint 0)
-    else if Hashtbl.mem lx.threads gtid then
-      lx.join_waiters <- (gtid, th) :: lx.join_waiters
-    else fail lx th E.ESRCH
-  | "sched_yield" -> Pal.thread_yield lx.pal (fun _ -> finish lx th (vint 0))
+  | "clone" -> (
+    match Posix.clone lx th (str_arg 0) (a 1) with
+    | Error e -> fail lx th e
+    | Ok (gtid, machine) ->
+      Pal.thread_create lx.own.pal machine (function
+        | Ok host_th ->
+          Posix.add_thread lx gtid host_th;
+          finish lx th ~cost:(Time.us 18.) (vint gtid)
+        | Error e -> fail lx th e))
+  | "sched_yield" -> Pal.thread_yield lx.own.pal (fun _ -> finish lx th (vint 0))
   (* {2 Time and misc} *)
-  | "nanosleep" ->
-    let ns = int_arg 0 in
-    if ns < 0 then fail lx th E.EINVAL
-    else K.after (kernel lx) (Time.ns ns) (fun () -> finish lx th (vint 0))
   | "gettimeofday" | "time" | "clock_gettime" -> (
     match vdso_page lx with
     | Some p ->
@@ -1066,20 +809,18 @@ and dispatch_inner lx th name args =
       finish lx th ~cost:Cost.vdso_call
         (vint (K.vdso_time p ~now:(K.now (kernel lx))))
     | None ->
-      Pal.system_time_query lx.pal (function
+      Pal.system_time_query lx.own.pal (function
         | Ok t ->
           (* refresh the page so the next call takes the fast path *)
           vdso_publish lx;
           finish lx th (vint t)
         | Error e -> fail lx th e))
-  | "rand" ->
-    finish lx th (vint (Rng.int (kernel lx).K.rng (max 1 (int_arg 0))))
   | "ring" -> do_ring lx th (Ast.as_list (a 0))
   (* {2 Graphene extension: dynamic sandboxing (§6.6)} *)
   | "sandbox_create" ->
     let paths = List.map Ast.as_str (Ast.as_list (a 0)) in
     let old_sandbox = (pico lx).K.sandbox in
-    Pal.sandbox_create lx.pal ~keep_children:[] (function
+    Pal.sandbox_create lx.own.pal ~keep_children:[] (function
       | Ok new_sandbox ->
         (kernel lx).K.lsm.K.on_sandbox_split (pico lx) ~old_sandbox ~paths;
         Ipc.become_isolated (ipc lx) ~first_pid:(lx.pid + 1);
@@ -1088,15 +829,16 @@ and dispatch_inner lx th name args =
         vdso_publish lx;
         finish lx th ~cost:(Time.us 10.) (vint new_sandbox)
       | Error e -> fail lx th e)
-  | _ -> fail lx th E.ENOSYS
+  (* calls answered from the process record alone; anything else is ENOSYS *)
+  | _ -> Posix.dispatch lx th name args
 
 (* {2 open} *)
 
 and do_open lx th path mode =
   if path = "/dev/zero" then
-    finish lx th (vint (alloc_fd lx { fh = None; kind = Kzero; cloexec = false }))
+    finish lx th (vint (Posix.alloc_fd lx { fh = None; kind = Kzero; cloexec = false }))
   else if path = "/dev/null" then
-    finish lx th (vint (alloc_fd lx { fh = None; kind = Knull; cloexec = false }))
+    finish lx th (vint (Posix.alloc_fd lx { fh = None; kind = Knull; cloexec = false }))
   else if String.length path >= String.length proc_prefix
      && String.sub path 0 (String.length proc_prefix) = proc_prefix
   then begin
@@ -1110,14 +852,14 @@ and do_open lx th path mode =
         match render_proc_local lx ~field with
         | Ok content ->
           finish lx th ~cost:(Time.us 1.5)
-            (vint (alloc_fd lx { fh = None; kind = Kproc { content; pos = 0 }; cloexec = false }))
+            (vint (Posix.alloc_fd lx { fh = None; kind = Kproc { content; pos = 0 }; cloexec = false }))
         | Error e -> fail lx th e
       end
       else
         Ipc.read_proc (ipc lx) ~pid:p ~field (function
           | Ok content ->
             finish lx th
-              (vint (alloc_fd lx { fh = None; kind = Kproc { content; pos = 0 }; cloexec = false }))
+              (vint (Posix.alloc_fd lx { fh = None; kind = Kproc { content; pos = 0 }; cloexec = false }))
           | Error e -> fail lx th e)
   end
   else begin
@@ -1125,14 +867,14 @@ and do_open lx th path mode =
     let create = mode = "w" || mode = "rw" || mode = "a" || mode = "creat" in
     (* O_APPEND positions at the end; others at 0 *)
     let after_open h pos =
-      let fd = alloc_fd lx { fh = Some h; kind = Kfile { path; pos }; cloexec = false } in
+      let fd = Posix.alloc_fd lx { fh = Some h; kind = Kfile { path; pos }; cloexec = false } in
       finish lx th ~cost:(path_hit_cost lx path) (vint fd)
     in
-    Pal.stream_open lx.pal ("file:" ^ path) ~write ~create:(create && mode <> "a") (function
+    Pal.stream_open lx.own.pal ("file:" ^ path) ~write ~create:(create && mode <> "a") (function
       | Error e -> fail lx th e
       | Ok h ->
         if mode = "a" then
-          Pal.stream_attributes_query lx.pal ("file:" ^ path) (function
+          Pal.stream_attributes_query lx.own.pal ("file:" ^ path) (function
             | Ok attrs -> after_open h attrs.Pal.size
             | Error _ -> after_open h 0)
         else after_open h 0)
@@ -1152,8 +894,7 @@ and do_read lx th fd n =
         ~cost:(Time.add Cost.host_syscall_entry (Time.add Cost.host_read_base (Time.ns 30)))
         (vstr (String.make (max 0 n) '\000'))
     | Kproc p ->
-      let avail = String.length p.content - p.pos in
-      let take = min n (max 0 avail) in
+      let take = max 0 (min n (String.length p.content - p.pos)) in
       let s = String.sub p.content p.pos take in
       p.pos <- p.pos + take;
       finish lx th ~cost:(Time.us 0.5) (vstr s)
@@ -1161,7 +902,7 @@ and do_read lx th fd n =
       match e.fh with
       | None -> fail lx th E.EBADF
       | Some h ->
-        Pal.stream_read lx.pal h ~off:f.pos ~max:n (function
+        Pal.stream_read lx.own.pal h ~off:f.pos ~max:n (function
           | Ok data ->
             f.pos <- f.pos + String.length data;
             finish lx th ~cost:(Time.ns 30) (vstr data)
@@ -1170,7 +911,7 @@ and do_read lx th fd n =
       match e.fh with
       | None -> fail lx th E.EBADF
       | Some h ->
-        Pal.stream_read lx.pal h ~off:0 ~max:n (function
+        Pal.stream_read lx.own.pal h ~off:0 ~max:n (function
           | Ok data ->
             let rm =
               if sock && K.lsm_active (kernel lx) then Cost.lsm_sock_op_check else Time.zero
@@ -1191,16 +932,13 @@ and do_write lx th fd data =
         ~cost:(Time.add Cost.host_syscall_entry Cost.host_write_base)
         (vint (String.length data))
     | Kzero -> fail lx th E.EACCES
-    | Kconsole ->
-      Buffer.add_string lx.console data;
-      (match lx.on_console with Some f -> f data | None -> ());
-      finish lx th ~cost:(Time.ns 150) (vint (String.length data))
+    | Kconsole -> finish lx th ~cost:(Time.ns 150) (vint (Posix.console_write lx data))
     | Kproc _ -> fail lx th E.EACCES
     | Kfile f -> (
       match e.fh with
       | None -> fail lx th E.EBADF
       | Some h ->
-        Pal.stream_write lx.pal h ~off:f.pos data (function
+        Pal.stream_write lx.own.pal h ~off:f.pos data (function
           | Ok n ->
             f.pos <- f.pos + n;
             finish lx th ~cost:(Time.ns 30) (vint n)
@@ -1209,7 +947,7 @@ and do_write lx th fd data =
       match e.fh with
       | None -> fail lx th E.EBADF
       | Some h ->
-        Pal.stream_write lx.pal h ~off:0 data (function
+        Pal.stream_write lx.own.pal h ~off:0 data (function
           | Ok n ->
             let rm =
               if sock && K.lsm_active (kernel lx) then Cost.lsm_sock_op_check else Time.zero
@@ -1262,9 +1000,7 @@ and do_ring lx th entries =
       | Some { kind = Kconsole; _ } ->
         (* console writes never cross into the PAL; they complete at
            submission, like a kernel-buffered tty *)
-        Buffer.add_string lx.console s;
-        (match lx.on_console with Some f -> f s | None -> ());
-        `Imm (vint (String.length s))
+        `Imm (vint (Posix.console_write lx s))
       | Some _ -> `Imm (err E.EINVAL)
       | None -> `Imm (err E.EBADF))
     | _ -> `Imm (err E.EINVAL)
@@ -1302,8 +1038,8 @@ and do_ring lx th entries =
   lx_count lx "liblinux.ring.batches";
   if Obs.enabled (kernel lx).K.tracer then
     Obs.count (kernel lx).K.tracer ~n:(List.length ops) "liblinux.ring.ops";
-  if lx.cfg.Ipc_config.ring && ops <> [] then
-    Pal.ring_submit lx.pal ops (function
+  if lx.own.cfg.Ipc_config.ring && ops <> [] then
+    Pal.ring_submit lx.own.pal ops (function
       | Error e -> fail lx th e
       | Ok cqes ->
         let rec zip plan cqes acc cost =
@@ -1339,9 +1075,9 @@ and do_ring lx th entries =
             (* the ring answers EAGAIN for a would-block stream read;
                keep the off-path batch from parking mid-drain too *)
             step rest (err E.EAGAIN :: acc) cost
-          | _ -> Pal.stream_read lx.pal handle ~off ~max continue_with)
+          | _ -> Pal.stream_read lx.own.pal handle ~off ~max continue_with)
         | Pal.Sq_write { handle; off; data } ->
-          Pal.stream_write lx.pal handle ~off data (function
+          Pal.stream_write lx.own.pal handle ~off data (function
             | Ok n ->
               let v, c = apply fd ki (Pal.Cq_len n) in
               step rest (v :: acc) (Time.add cost c)
@@ -1369,7 +1105,7 @@ and do_select lx th fd_values =
         (if K.lsm_active (kernel lx) then Cost.lsm_fd_check else Time.zero)
     in
     K.after (kernel lx) (Time.add Cost.select_base cost) (fun () ->
-        Pal.objects_wait_any lx.pal (List.map snd handles) (function
+        Pal.objects_wait_any lx.own.pal (List.map snd handles) (function
           | Ok idx -> finish lx th (vint (fst (List.nth handles idx)))
           | Error e -> fail lx th e))
   end
@@ -1410,7 +1146,7 @@ and do_epoll_wait lx th e =
       in
       if handles = [] then fail lx th E.EBADF
       else
-        Pal.objects_wait_any lx.pal handles (function
+        Pal.objects_wait_any lx.own.pal handles (function
           | Error err -> fail lx th err
           | Ok _ -> (
             match scan () with
@@ -1427,7 +1163,7 @@ and do_epoll_wait lx th e =
 and do_kill lx th target signum =
   if target = lx.pid then begin
     (* self-signal: a library function call, faster than native *)
-    ignore (post_signal lx signum);
+    ignore (Posix.post_signal lx signum);
     finish lx th ~cost:Cost.libos_self_signal (vint 0)
   end
   else if target < 0 then begin
@@ -1435,7 +1171,7 @@ and do_kill lx th target signum =
        child in the group; remote group members are reached through
        their PIDs *)
     let pgid = -target in
-    if lx.pgid = pgid then ignore (post_signal lx signum);
+    if lx.pgid = pgid then ignore (Posix.post_signal lx signum);
     let targets =
       Hashtbl.fold (fun _ c acc -> if c.c_pgid = pgid then c.c_pid :: acc else acc) lx.children []
     in
@@ -1458,33 +1194,11 @@ and do_kill lx th target signum =
       | Error e -> fail lx th e)
   end
 
-(* {2 clone (threads)} *)
-
-and do_clone lx th fname arg =
-  match th.K.machine with
-  | None -> fail lx th E.EINVAL
-  | Some m ->
-    if not (Interp.has_func m fname) then fail lx th E.EINVAL
-    else begin
-      (* a new machine entering at [fname], sharing this libOS instance
-         (address space, fd table, signal handlers) *)
-      let gtid = lx.pid + lx.next_tid_seq in
-      lx.next_tid_seq <- lx.next_tid_seq + 1;
-      let prog = Interp.program_of_state m in
-      let tm = Interp.start { prog with Ast.main = Ast.Call (fname, [ Ast.Const arg ]) } ~argv:[] in
-      Pal.thread_create lx.pal tm (function
-        | Ok host_th ->
-          Hashtbl.replace lx.threads gtid host_th;
-          Hashtbl.replace lx.thread_guest_tid host_th.K.tid gtid;
-          finish lx th ~cost:(Time.us 18.) (vint gtid)
-        | Error e -> fail lx th e)
-    end
-
 (* {2 fork} *)
 
-and shareable_ranges lx =
-  (* everything fork moves by bulk IPC: heap, mmap, stacks, app image
-     (code images are already page-cache shared) *)
+(* The private regions fork moves by bulk IPC and migration re-maps:
+   heap, mmap, stacks (code images are already page-cache shared). *)
+and private_regions lx =
   List.filter_map
     (fun r ->
       match Memory.region_kind r with
@@ -1497,43 +1211,39 @@ and snapshot_fds lx =
   (* stream fds travel out-of-band; everything else by name *)
   let slots = ref [] in
   let next_slot = ref 0 in
+  let slot h =
+    let n = !next_slot in
+    incr next_slot;
+    slots := !slots @ [ h ];
+    n
+  in
   let snaps =
     Hashtbl.fold
       (fun fd e acc ->
-        match e.kind with
-        | Kfile f -> Ckpt.Sfile { fd; path = f.path; pos = f.pos; cloexec = e.cloexec } :: acc
-        | Kconsole -> Ckpt.Sconsole fd :: acc
-        | Knull | Kzero -> Ckpt.Snull fd :: acc
-        | Kproc _ -> acc (* /proc fds are not inherited *)
-        | Kepoll _ -> acc (* interest sets are per-process; children re-register *)
-        | Kstream _ -> (
-          match e.fh with
-          | Some h ->
-            let slot = !next_slot in
-            incr next_slot;
-            slots := !slots @ [ h ];
-            Ckpt.Sstream { fd; slot; cloexec = e.cloexec } :: acc
-          | None -> acc)
-        | Klisten { port } -> (
-          match e.fh with
-          | Some h ->
-            let slot = !next_slot in
-            incr next_slot;
-            slots := !slots @ [ h ];
-            Ckpt.Slisten { fd; slot; port; cloexec = e.cloexec } :: acc
-          | None -> acc))
+        match (e.kind, e.fh) with
+        | Kfile f, _ -> Ckpt.Sfile { fd; path = f.path; pos = f.pos; cloexec = e.cloexec } :: acc
+        | Kconsole, _ -> Ckpt.Sconsole fd :: acc
+        | (Knull | Kzero), _ -> Ckpt.Snull fd :: acc
+        | Kproc _, _ -> acc (* /proc fds are not inherited *)
+        | Kepoll _, _ -> acc (* interest sets are per-process; children re-register *)
+        | Kstream _, Some h -> Ckpt.Sstream { fd; slot = slot h; cloexec = e.cloexec } :: acc
+        | Klisten { port }, Some h ->
+          Ckpt.Slisten { fd; slot = slot h; port; cloexec = e.cloexec } :: acc
+        | (Kstream _ | Klisten _), None -> acc)
       lx.fds []
   in
   (snaps, !slots)
 
-and build_ckpt lx ~child_pid ~machine ~heap_pages =
+(* The checkpoint record of this process as it stands, with [machine]
+   as its registers; fork rewrites the identity for the child. *)
+and build_ckpt lx ~machine ~heap_pages =
   let fds, slots = snapshot_fds lx in
   ( { Ckpt.c_machine = Interp.to_bytes machine;
       c_exe = lx.exe;
-      c_pid = child_pid;
-      c_ppid = lx.pid;
+      c_pid = lx.pid;
+      c_ppid = lx.ppid;
       c_pgid = lx.pgid;
-      c_parent_addr = Ipc.my_addr (ipc lx);
+      c_parent_addr = lx.own.parent_addr;
       c_cwd = lx.cwd;
       c_fds = fds;
       c_sigactions = Hashtbl.fold (fun k v acc -> (k, v) :: acc) lx.sigactions [];
@@ -1552,8 +1262,14 @@ and do_fork lx th =
       | Error e -> fail lx th e
       | Ok child_pid ->
         let child_machine = Interp.resume m (vint 0) in
-        let record, slots = build_ckpt lx ~child_pid ~machine:child_machine ~heap_pages:[] in
-        let bytes = Ckpt.to_bytes record in
+        let record, slots = build_ckpt lx ~machine:child_machine ~heap_pages:[] in
+        let bytes =
+          Ckpt.to_bytes
+            { record with
+              Ckpt.c_pid = child_pid;
+              c_ppid = lx.pid;
+              c_parent_addr = Ipc.my_addr (ipc lx) }
+        in
         let resident = Memory.resident_pages (pico lx).K.aspace in
         (* checkpoint cost: table walk + serialization (§6.4: "about
            half the overhead comes from the checkpointing code") *)
@@ -1566,9 +1282,9 @@ and do_fork lx th =
         K.after (kernel lx) ckpt_cost (fun () ->
             if lx.exited then ()
             else
-              Pal.process_create lx.pal ~exe:lx.exe ~sandboxed:false
+              Pal.process_create lx.own.pal ~exe:lx.exe ~sandboxed:false
                 ~boot:(fun child_pico child_ep ->
-                  restore_in_child ~kern:(kernel lx) ~cfg:(Ipc_config.copy lx.cfg)
+                  restore_in_child ~kern:(kernel lx) ~cfg:(Ipc_config.copy lx.own.cfg)
                     ~console_hook:lx.on_console child_pico child_ep)
                 (function
                 | Error e -> fail lx th e
@@ -1582,25 +1298,25 @@ and do_fork lx th =
                      without reporting (crash, host kill) *)
                   K.on_pico_exit (kernel lx) child_pico (fun code ->
                       K.after (kernel lx) (Time.us 50.) (fun () ->
-                          if not lx.exited then mark_zombie lx child_pid code));
+                          if not lx.exited then Posix.mark_zombie lx child_pid code));
                   Ipc.register_pid_owner (ipc lx) ~pid:child_pid ~addr:(addr_of_pico child_pico);
                   (* ship: checkpoint image, bulk-IPC token, handles *)
-                  Pal.stream_write lx.pal init_h ~off:0 bytes (function
+                  Pal.stream_write lx.own.pal init_h ~off:0 bytes (function
                     | Error e -> fail lx th e
                     | Ok _ ->
-                      Pal.physical_memory_send lx.pal ~ranges:(shareable_ranges lx) (function
+                      Pal.physical_memory_send lx.own.pal ~ranges:(private_regions lx) (function
                         | Error e -> fail lx th e
                         | Ok token ->
-                          Pal.stream_write lx.pal init_h ~off:0
+                          Pal.stream_write lx.own.pal init_h ~off:0
                             (Marshal.to_string token []) (function
                             | Error e -> fail lx th e
                             | Ok _ ->
                               let rec send_slots = function
                                 | [] ->
-                                  Pal.stream_close lx.pal init_h (fun _ -> ());
+                                  Pal.stream_close lx.own.pal init_h (fun _ -> ());
                                   finish lx th ~cost:(Time.us 2.0) (vint child_pid)
                                 | h :: rest ->
-                                  Pal.stream_send_handle lx.pal init_h h (fun _ ->
+                                  Pal.stream_send_handle lx.own.pal init_h h (fun _ ->
                                       send_slots rest)
                               in
                               send_slots slots))))))
@@ -1671,7 +1387,7 @@ and finish_restore ?restore_cost ~kern ~pal ~cfg ~console_hook record handles =
     Ipc.create ~pal ~cfg ~callbacks:(callbacks_of lx) ~my_addr:(my_addr lx)
       ~leader_addr:record.Ckpt.c_inherited.Ipc.i_leader_addr ~make_leader:false ~first_pid:0
   in
-  lx.ipc <- Some ipc_inst;
+  lx.own.ipc <- Some ipc_inst;
   Ipc.set_my_pid ipc_inst record.Ckpt.c_pid;
   Ipc.restore_inherited ipc_inst record.Ckpt.c_inherited;
   let handle_arr = Array.of_list handles in
@@ -1712,18 +1428,10 @@ and finish_restore ?restore_cost ~kern ~pal ~cfg ~console_hook record handles =
     | [] ->
       (* install the machine and go *)
       let machine = Interp.of_bytes record.Ckpt.c_machine in
-      K.after kern restore_cost (fun () ->
-          let service = make_service lx in
-          pal.Pal.thread_service <- Some service;
-          Pal.exception_handler_set pal (on_pal_exception lx);
-          (* a restored picoprocess never inherits the parent's time
-             base: publish a fresh page stamped from this kernel's
-             clock, now that restore is charged *)
-          vdso_publish lx;
-          lx.started_at <- Some (K.now kern);
-          let th = K.spawn_thread kern (pico lx) machine ~service in
-          lx.main_thread <- Some th;
-          Hashtbl.replace lx.thread_guest_tid th.K.tid lx.pid)
+      (* a restored picoprocess never inherits the parent's time base:
+         [start] publishes a fresh vDSO page stamped from this kernel's
+         clock, once restore is charged *)
+      K.after kern restore_cost (fun () -> start lx machine)
     | (fd, path, pos, cloexec) :: rest ->
       Pal.stream_open pal ("file:" ^ path) ~write:true ~create:false (function
         | Ok h ->
@@ -1748,7 +1456,7 @@ and fd_of_snap = function
 (* {2 exec} *)
 
 and do_exec lx th path argv =
-  Loader.load lx.pal ~path (function
+  Loader.load lx.own.pal ~path (function
     | Error e -> fail lx th e
     | Ok program ->
       (* close-on-exec descriptors go; signal dispositions reset *)
@@ -1756,7 +1464,7 @@ and do_exec lx th path argv =
         (fun fd e ->
           if e.cloexec then begin
             Hashtbl.remove lx.fds fd;
-            match e.fh with Some h -> Pal.stream_close lx.pal h (fun _ -> ()) | None -> ()
+            match e.fh with Some h -> Pal.stream_close lx.own.pal h (fun _ -> ()) | None -> ()
           end)
         (Hashtbl.copy lx.fds);
       Hashtbl.reset lx.sigactions;
@@ -1764,32 +1472,16 @@ and do_exec lx th path argv =
       let m = Interp.start program ~argv in
       K.set_machine (kernel lx) th m ~cost:exec_fixed)
 
-(* {2 Thread service and boot} *)
+(* {2 Starting the main thread} *)
 
-and make_service lx =
-  { K.on_syscall = (fun th name args -> if lx.exited then () else dispatch lx th name args);
-    on_finish =
-      (fun th v ->
-        match lx.main_thread with
-        | Some main when main == th ->
-          do_exit lx (match v with Ast.Vint n -> n land 255 | _ -> 0)
-        | _ ->
-          (* worker thread finished *)
-          (match Hashtbl.find_opt lx.thread_guest_tid th.K.tid with
-          | Some gtid ->
-            Hashtbl.remove lx.threads gtid;
-            lx.done_tids <- gtid :: lx.done_tids;
-            let ready, rest = List.partition (fun (g, _) -> g = gtid) lx.join_waiters in
-            lx.join_waiters <- rest;
-            List.iter (fun (_, waiter) -> finish lx waiter (vint 0)) ready
-          | None -> ());
-          K.finish_thread (kernel lx) th);
-    on_fault =
-      (fun th msg ->
-        ignore th;
-        ignore msg;
-        (* the guest equivalent of SIGSEGV with no handler *)
-        do_exit lx (128 + Signal.sigsegv)) }
+(* Install the thread service and the exception upcall, publish the
+   vDSO page, and start the machine. *)
+and start lx machine =
+  let service = Posix.service lx ~dispatch in
+  lx.own.pal.Pal.thread_service <- Some service;
+  Pal.exception_handler_set lx.own.pal (on_pal_exception lx);
+  vdso_publish lx;
+  Posix.start_main lx machine ~service
 
 (* Boot the first picoprocess of a sandbox: what the reference-monitor
    launcher does. Composes to the paper's 641 us start-up (Table 4). *)
@@ -1805,7 +1497,7 @@ let boot ?(cfg = Ipc_config.default ()) ?console_hook kernel ~exe ~argv () =
     Ipc.create ~pal ~cfg ~callbacks:(callbacks_of lx) ~my_addr:(my_addr lx)
       ~leader_addr:(my_addr lx) ~make_leader:true ~first_pid:2
   in
-  lx.ipc <- Some ipc_inst;
+  lx.own.ipc <- Some ipc_inst;
   Ipc.set_my_pid ipc_inst lx.pid;
   let boot_cost = Time.add Cost.picoprocess_spawn Cost.pal_load in
   let tracer = kernel.K.tracer in
@@ -1821,15 +1513,5 @@ let boot ?(cfg = Ipc_config.default ()) ?console_hook kernel ~exe ~argv () =
             try (Vfs.stat kernel.K.fs exe).Vfs.st_size with Vfs.Error _ -> 0
           in
           map_libos_images lx ~app_bytes:(max default_app_image_bytes binary_bytes) ~scratch:0;
-          let machine = Interp.start program ~argv in
-          let service = make_service lx in
-          pal.Pal.thread_service <- Some service;
-          Pal.exception_handler_set pal (on_pal_exception lx);
-          vdso_publish lx;
-          lx.started_at <- Some (K.now kernel);
-          let th = K.spawn_thread kernel pico machine ~service in
-          lx.main_thread <- Some th;
-          Hashtbl.replace lx.thread_guest_tid th.K.tid lx.pid));
+          start lx (Interp.start program ~argv)));
   lx
-
-let started_at lx = lx.started_at

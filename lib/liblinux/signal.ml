@@ -17,6 +17,7 @@ let sigchld = 17
 let sigcont = 18
 let sigstop = 19
 let sigsys = 31
+let sigrtmax = 64
 
 type default_action = Terminate | Ignore | Stop | Continue
 

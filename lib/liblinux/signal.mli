@@ -18,6 +18,9 @@ val sigcont : int
 val sigstop : int
 val sigsys : int
 
+val sigrtmax : int
+(** 64: the highest signal number. *)
+
 type default_action = Terminate | Ignore | Stop | Continue
 
 val default_action : int -> default_action

@@ -45,7 +45,7 @@ let raw_syscall_tests =
            redirects it into libLinux instead of reaching the host *)
         let w = W.create W.Graphene_rm in
         let p = W.start w ~exe:"/bin/hello" ~argv:[] () in
-        let pal = match p with W.Pl lx -> lx.Lx.pal | W.Pn _ -> Alcotest.fail "stack" in
+        let pal = match p with W.Pl lx -> Lx.pal lx | W.Pn _ -> Alcotest.fail "stack" in
         check_bool "redirected" true
           (Pal.raw_syscall pal ~pc:0x4000_0000 ~name:"execve" ~args:[||] = Pal.Raw_redirected);
         check_bool "vfork redirected" true
@@ -53,7 +53,7 @@ let raw_syscall_tests =
     case "(ii) a raw kill cannot signal at host level" (fun () ->
         let w = W.create W.Graphene_rm in
         let p = W.start w ~exe:"/bin/hello" ~argv:[] () in
-        let pal = match p with W.Pl lx -> lx.Lx.pal | W.Pn _ -> Alcotest.fail "stack" in
+        let pal = match p with W.Pl lx -> Lx.pal lx | W.Pn _ -> Alcotest.fail "stack" in
         check_bool "redirected" true
           (Pal.raw_syscall pal ~pc:0x4000_0000 ~name:"kill" ~args:[| 1; 9 |] = Pal.Raw_redirected));
     case "a forbidden syscall from the PAL region kills the picoprocess" (fun () ->
@@ -68,7 +68,7 @@ let raw_syscall_tests =
         let lx = match p2 with W.Pl lx -> lx | W.Pn _ -> Alcotest.fail "stack" in
         check_bool "paused" false (Lx.exited lx);
         check_bool "killed" true
-          (Pal.raw_syscall lx.Lx.pal ~pc:(K.pal_base + 8) ~name:"ptrace" ~args:[||]
+          (Pal.raw_syscall (Lx.pal lx) ~pc:(K.pal_base + 8) ~name:"ptrace" ~args:[||]
           = Pal.Raw_killed);
         check_bool "picoprocess dead" false (K.alive (Lx.pico lx));
         ignore p) ]

@@ -78,7 +78,7 @@ let scheduling_tests =
 let rm_hello () =
   let w = W.create W.Graphene_rm in
   match W.start w ~exe:"/bin/hello" ~argv:[] () with
-  | W.Pl lx -> (w, lx.Lx.pal)
+  | W.Pl lx -> (w, Lx.pal lx)
   | W.Pn _ -> Alcotest.fail "stack"
 
 let telemetry_tests =
@@ -131,7 +131,7 @@ let telemetry_tests =
         let p1 = W.start w ~exe:"/bin/hello" ~argv:[] () in
         W.run w;
         match p1 with
-        | W.Pl lx -> check_bool "calls made" true (Graphene_pal.Pal.call_count lx.Lx.pal > 0)
+        | W.Pl lx -> check_bool "calls made" true (Graphene_pal.Pal.call_count (Lx.pal lx) > 0)
         | W.Pn _ -> Alcotest.fail "wrong stack");
     case "rpc telemetry counts coordination traffic" (fun () ->
         (* a cross-process signal must travel as an RPC *)

@@ -22,4 +22,5 @@ let () =
       ("contend", Suite_contend.suite);
       ("vuln", Suite_vuln.suite);
       ("ring", Suite_ring.suite);
-      ("differential", Suite_differential.suite) ]
+      ("differential", Suite_differential.suite);
+      ("posix", Suite_posix.suite) ]
