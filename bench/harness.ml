@@ -153,11 +153,6 @@ let run_app w ~exe ~argv =
   let dt = T.to_s (T.diff (W.now w) t0) in
   (p, Buffer.contents agg, dt)
 
-(* Elapsed virtual seconds of a program run. *)
-let time_app ~exe ~argv w =
-  let _, _, dt = run_app w ~exe ~argv in
-  dt
-
 (* Per-operation latency (us) of an lmbench-style program. *)
 let lmbench_us ~exe ~iters w =
   let _, console, _ = run_app w ~exe ~argv:[ string_of_int iters ] in

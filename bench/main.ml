@@ -3,14 +3,12 @@
 
     Usage:
       main.exe [all|quick|table1|table4|table5|table6|table7|table8|
-                figure4|figure5|ablation|critpath|chaos|cache|contend|web|ring|
-                bechamel]
+                figure4|figure5|ablation|critpath|chaos|cache|contend|web|ring]
                [--baseline FILE]
       main.exe regress BASELINE FRESH
 
     [all] (the default) runs everything at full scale; [quick] runs
-    reduced sizes. [bechamel] wall-clock-benchmarks one representative
-    probe per table through Bechamel, as a harness self-measurement.
+    reduced sizes.
 
     A run exits nonzero if any of its self-checks ({!Harness.gate})
     failed, or if [--baseline FILE] is given and the metrics the run
@@ -41,82 +39,6 @@ let experiments ~full =
         Contend.run ~full ());
     ("web", "Web farm: event-driven servers at production concurrency", fun () -> Web.run ~full ());
     ("ring", "vDSO page + submission ring: fast-path gates", fun () -> Ring.run ~full ()) ]
-
-(* {1 Bechamel probes}
-
-   One Test.make per table/figure: a silent, miniature version of the
-   experiment, wall-clock-measured — how expensive regenerating each
-   result is on the host machine. *)
-
-module Bech = struct
-  open Bechamel
-
-  let probe_table1 () = ignore (Graphene_pal.Abi.class_counts Graphene_pal.Abi.Drawbridge)
-
-  let probe_table4 () =
-    let w = Graphene.World.create Graphene.World.Graphene in
-    ignore (Table4.startup_time Graphene.World.Graphene w)
-
-  let probe_figure4 () =
-    let w = Graphene.World.create Graphene.World.Graphene in
-    let p = Graphene.World.start w ~exe:"/bin/hello" ~argv:[] () in
-    Graphene.World.run w;
-    ignore p;
-    ignore (Graphene.World.memory_footprint w)
-
-  let probe_table5 () =
-    let w = Graphene.World.create Graphene.World.Graphene in
-    Graphene_apps.Install.script (Graphene.World.kernel w).Graphene_host.Kernel.fs
-      ~path:"/tmp/p.sh"
-      ~contents:(Graphene_apps.Shell.utils_script ~iterations:2);
-    ignore (Harness.time_app ~exe:"/bin/sh" ~argv:[ "/tmp/p.sh" ] w)
-
-  let probe_table6 () =
-    let w = Graphene.World.create Graphene.World.Graphene in
-    ignore (Harness.lmbench_us ~exe:"/bin/lat_syscall" ~iters:200 w)
-
-  let probe_table7 () =
-    let w = Graphene.World.create Graphene.World.Graphene in
-    ignore (Harness.phase_us ~exe:"/bin/sysv_inproc" ~iters:10 ~phase:"snd" w)
-
-  let probe_figure5 () = ignore (Figure5.measured_pipe_rt ~iters:200)
-
-  let probe_table8 () = ignore (Graphene_vuln.Cve.analyze Graphene_vuln.Dataset.all)
-
-  let probe_ablation () =
-    ignore (Ablation.signal_latencies (Graphene_ipc.Config.default ()))
-
-  let tests =
-    [ Test.make ~name:"table1" (Staged.stage probe_table1);
-      Test.make ~name:"table4" (Staged.stage probe_table4);
-      Test.make ~name:"figure4" (Staged.stage probe_figure4);
-      Test.make ~name:"table5" (Staged.stage probe_table5);
-      Test.make ~name:"table6" (Staged.stage probe_table6);
-      Test.make ~name:"table7" (Staged.stage probe_table7);
-      Test.make ~name:"figure5" (Staged.stage probe_figure5);
-      Test.make ~name:"table8" (Staged.stage probe_table8);
-      Test.make ~name:"ablation" (Staged.stage probe_ablation) ]
-
-  let run () =
-    header "Bechamel: wall-clock cost of regenerating each result (miniature probes)";
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.25) ~kde:None () in
-    List.iter
-      (fun test ->
-        let results = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
-        let results =
-          Analyze.all
-            (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-            instance results
-        in
-        Hashtbl.iter
-          (fun name ols ->
-            match Analyze.OLS.estimates ols with
-            | Some [ est ] -> Printf.printf "  %-18s %12.0f ns/run\n%!" name est
-            | _ -> Printf.printf "  %-18s (no estimate)\n%!" name)
-          results)
-      tests
-end
 
 (* After metrics land in BENCH_<mode>.json, compare them with the
    requested baseline; a failed self-check or any difference fails
@@ -158,7 +80,6 @@ let () =
           f ())
         (experiments ~full);
       finish ~mode ~baseline
-    | "bechamel" -> Bech.run ()
     | name -> (
       match List.find_opt (fun (n, _, _) -> n = name) (experiments ~full:true) with
       | Some (_, title, f) ->
@@ -168,5 +89,5 @@ let () =
       | None ->
         prerr_endline
           ("unknown experiment " ^ name
-         ^ " (try: all quick table1 table4 table5 table6 table7 table8 figure4 figure5 ablation critpath chaos cache contend web ring bechamel)");
+         ^ " (try: all quick table1 table4 table5 table6 table7 table8 figure4 figure5 ablation critpath chaos cache contend web ring)");
         exit 2))

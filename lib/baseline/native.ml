@@ -74,7 +74,7 @@ type ofile = {
 type msgq_k = {
   kq_id : int;
   mutable kq_msgs : string list;
-  mutable kq_waiters : (string -> unit) list;
+  mutable kq_waiters : ((string, E.t) result -> unit) list;
 }
 
 type sem_k = { ks_id : int; mutable ks_count : int; mutable ks_waiters : (unit -> unit) list }
@@ -467,7 +467,7 @@ and dispatch_inner (p : proc) th name args =
       match q.kq_waiters with
       | w :: rest ->
         q.kq_waiters <- rest;
-        w data;
+        w (Ok data);
         finish p th ~cost:(Time.us 1.4) (vint 0)
       | [] ->
         q.kq_msgs <- q.kq_msgs @ [ data ];
@@ -480,7 +480,12 @@ and dispatch_inner (p : proc) th name args =
       | m :: rest ->
         q.kq_msgs <- rest;
         finish p th ~cost:(Time.us 1.4) (vstr m)
-      | [] -> q.kq_waiters <- q.kq_waiters @ [ (fun m -> finish p th ~cost:(Time.us 1.4) (vstr m)) ]))
+      | [] ->
+        q.kq_waiters <-
+          q.kq_waiters
+          @ [ (function
+              | Ok m -> finish p th ~cost:(Time.us 1.4) (vstr m)
+              | Error e -> fail p th ~cost:(Time.us 1.4) e) ]))
   | "msgctl_rmid" -> (
     let id = int_arg 0 in
     match Hashtbl.find_opt ctx.queues id with
@@ -490,7 +495,7 @@ and dispatch_inner (p : proc) th name args =
       Hashtbl.iter
         (fun key qid -> if qid = id then Hashtbl.remove ctx.key_to_q key)
         (Hashtbl.copy ctx.key_to_q);
-      List.iter (fun w -> w "") q.kq_waiters;
+      List.iter (fun w -> w (Error E.EIDRM)) q.kq_waiters;
       finish p th ~cost:(Time.us 2.0) (vint 0))
   | "semget" -> (
     let key = int_arg 0 and init = int_arg 1 in

@@ -163,17 +163,6 @@ let peek t ~now ~ns ~key =
   | Some h -> Some h.h_owner
   | None -> live_owner t s ~now key
 
-let renew t ~now ~ns ~key =
-  let s = side t ns in
-  if Hashtbl.mem s.held key then true
-  else
-    match live_owner t s ~now key with
-    | Some owner ->
-      ignore (Fifo_cache.add s.leased key { owner; cached_at = now });
-      emit t (Acquire { ns; kind = Leased; key; owner; tag = "" });
-      true
-    | None -> false
-
 (* Routing-layer conflict detection: an operation reached this
    instance for a key someone else holds (per our table — usually the
    forwarding lease an old owner keeps after a migration grant). Same
@@ -271,10 +260,6 @@ let entries t ~now ~ns =
       in
       (k, l.owner, remaining) :: acc)
     (side t ns).leased []
-  |> List.sort compare
-
-let held_entries t ~ns =
-  Hashtbl.fold (fun k { h_owner; h_tag } acc -> (k, h_owner, h_tag) :: acc) (side t ns).held []
   |> List.sort compare
 
 let export t ~ns = Fifo_cache.fold (fun k l acc -> (k, l.owner) :: acc) (side t ns).leased []

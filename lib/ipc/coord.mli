@@ -16,7 +16,7 @@
       block an authoritative acquire — in particular an acquire
       landing on an {e expired-but-unswept} lease succeeds atomically
       rather than answering the stale holder.
-    - {b check / peek / renew} are the read path: each namespace keeps
+    - {b check / peek} are the read path: each namespace keeps
       its leases in a {!Graphene_sim.Fifo_cache} (oldest evicts first)
       stamped with the instant they were cached.
     - {b sweep} is the one crash-recovery lifecycle: re-election and
@@ -128,11 +128,6 @@ val peek : t -> now:Time.t -> ns:namespace -> key:int -> string option
 (** Pure resolve: no events, no expiry side effect — for
     observers (contention holder attribution, introspection). *)
 
-val renew : t -> now:Time.t -> ns:namespace -> key:int -> bool
-(** Restart an existing lease's TTL clock without changing the owner;
-    [true] if there was a live entry (or we hold the key — trivially
-    renewed). An expired entry cannot be renewed. *)
-
 val conflict_answer :
   t -> now:Time.t -> ns:namespace -> key:int -> requester:string -> conflict option
 (** Routing-layer conflict detection: an operation from [requester]
@@ -180,9 +175,6 @@ val held_count : t -> ns:namespace -> int
 val entries : t -> now:Time.t -> ns:namespace -> (int * string * int) list
 (** Lease-table snapshot for [graphene top]: [(key, owner, remaining
     ns; -1 = no expiry)], ascending by key. Pure observation. *)
-
-val held_entries : t -> ns:namespace -> (int * string * string) list
-(** Authoritative entries: [(key, owner, tag)], ascending by key. *)
 
 val export : t -> ns:namespace -> (int * string) list
 (** Leased entries for fork inheritance (order unspecified). Held

@@ -69,22 +69,20 @@ type callbacks = {
   proc_read : pid:int -> field:string -> (string, Errno.t) result;
 }
 
-type waiter =
-  | Local of ((string, Errno.t) result -> unit)
+(* A caller parked at an owner until its operation can complete: the
+   owner's own continuation, or a peer's deferred request. *)
+type 'a waiter =
+  | Local of (('a, Errno.t) result -> unit)
   | Remote of { ep : K.handle Stream.endpoint; reqid : int; requester : string }
 
 type msgq = {
   mq_id : int;
   mq_key : int;
   mutable contents : string list;  (** FIFO, head = oldest *)
-  mutable rwaiters : waiter list;
+  mutable rwaiters : string waiter list;
   recv_stats : (string, int) Hashtbl.t;
   mutable accessors : string list;  (** addresses to tell about deletion *)
 }
-
-type sem_waiter =
-  | Sem_local of ((unit, Errno.t) result -> unit)
-  | Sem_remote of { ep : K.handle Stream.endpoint; reqid : int; requester : string }
 
 type sem = {
   sm_id : int;
@@ -92,7 +90,7 @@ type sem = {
   mutable count : int;
       (** the owner's mirror; with a published page the page is the
           single source of truth and this trails it *)
-  mutable swaiters : sem_waiter list;
+  mutable swaiters : unit waiter list;
   acq_stats : (string, int) Hashtbl.t;
   mutable page : K.sem_page option;
       (** the shared page this owner published (fast path on), revoked
@@ -176,6 +174,102 @@ let fresh_leader ~first_pid =
     key_to_sem = Hashtbl.create 16;
     res_owner = Hashtbl.create 16;
     res_persisted = Hashtbl.create 16 }
+
+(* {1 The leader's rules}
+
+   One copy of each namespace rule. A peer reaches them over the wire
+   (the handlers below); the leader reaches them directly for its own
+   calls ([ask_leader], [tell_leader]), at no wire cost. Only
+   [leader_answer], [leader_note], the PID rules they share with the
+   leader's own forks ([own_pids], [claim_pids]) and the crash reap
+   ([leader_reap_peer]) write the tables. *)
+
+let pid_owner ls pid =
+  List.find_map (fun (lo, hi, addr) -> if pid >= lo && pid <= hi then Some addr else None)
+    ls.pid_owners
+
+(* PIDs [lo..hi] live at [addr]. *)
+let own_pids ls lo hi addr = ls.pid_owners <- (lo, hi, addr) :: ls.pid_owners
+
+(* Hand the next [count] PIDs to [requester]; the first of them. *)
+let claim_pids ls ~count requester =
+  let lo = ls.next_pid in
+  ls.next_pid <- lo + count;
+  own_pids ls lo (lo + count - 1) requester;
+  lo
+
+(* Who owns SysV [id] ([None] once reaped or persisted), and whether
+   its queue waits on disk. *)
+let resource_state ls id = (Hashtbl.find_opt ls.res_owner id, Hashtbl.mem ls.res_persisted id)
+
+let resource_answer ls id ~created =
+  let owner, persisted = resource_state ls id in
+  Wire.R_resource { id; owner = Option.value ~default:"" owner; persisted; created }
+
+(* Bind [key] in [keys] to a fresh id owned by [requester]. *)
+let bind_key ls keys key requester =
+  let id = ls.next_rid in
+  ls.next_rid <- id + 1;
+  Hashtbl.replace keys key id;
+  Hashtbl.replace ls.res_owner id requester;
+  Wire.R_resource { id; owner = requester; persisted = false; created = true }
+
+(* The answer to every leader request (the others are not ours). *)
+let leader_answer ls (req : Wire.request) =
+  match req with
+  | Pid_alloc { count; requester } ->
+    let lo = claim_pids ls ~count requester in
+    Wire.R_range { lo; hi = lo + count - 1 }
+  | Pid_query { pid } -> Wire.R_owner { addr = pid_owner ls pid }
+  | Res_query { id } -> resource_answer ls id ~created:false
+  | Msgq_get { key; create; requester } -> (
+    match Hashtbl.find_opt ls.key_to_msgq key with
+    | Some id -> resource_answer ls id ~created:false
+    | None when create -> bind_key ls ls.key_to_msgq key requester
+    | None -> Wire.R_err Errno.ENOENT)
+  | Sem_get { key; requester; _ } -> (
+    match Hashtbl.find_opt ls.key_to_sem key with
+    | Some id -> resource_answer ls id ~created:false
+    | None -> bind_key ls ls.key_to_sem key requester)
+  | Msgq_unbind { id } ->
+    (* a removed queue frees its key: the next get under it creates *)
+    Hashtbl.remove ls.res_owner id;
+    Hashtbl.filter_map_inplace (fun _ q -> if q = id then None else Some q) ls.key_to_msgq;
+    Wire.R_unit
+  | Signal _ | Proc_read _ | Msgq_send _ | Msgq_recv _ | Msgq_rmid _ | Sem_op _
+  | Wait_any_probe ->
+    Wire.R_err Errno.EPROTO
+
+(* Apply a leader note (the others are not ours). *)
+let leader_note ls (n : Wire.notification) =
+  match n with
+  | Owner_update { id; addr; _ } ->
+    Hashtbl.replace ls.res_owner id addr;
+    (* a reloaded persistent queue is live again *)
+    Hashtbl.remove ls.res_persisted id
+  | Range_owned { lo; hi; addr } -> own_pids ls lo hi addr
+  | Msgq_persisted { id } ->
+    Hashtbl.replace ls.res_persisted id ();
+    Hashtbl.remove ls.res_owner id
+  | State_report { addr; pid; ranges; resources } ->
+    ls.pid_owners <-
+      ((pid, pid, addr) :: List.map (fun (lo, hi) -> (lo, hi, addr)) ranges) @ ls.pid_owners;
+    List.iter (fun id -> Hashtbl.replace ls.res_owner id addr) resources;
+    let hwm = List.fold_left (fun a (_, hi) -> max a hi) pid ranges in
+    ls.next_pid <- max ls.next_pid (hwm + 1)
+  | Exit_notify _ | Msgq_send_async _ | Sem_release_async _ | Msgq_deleted _
+  | Leader_candidate _ | Leader_elected _ | Batch _ ->
+    ()
+
+(* A member's slice of the namespace, for a new leader to rebuild from. *)
+let state_report t =
+  Wire.State_report
+    { addr = t.my_addr;
+      pid = t.my_pid;
+      ranges = t.pid_pool;
+      resources =
+        Hashtbl.fold (fun id _ acc -> id :: acc) t.msgqs
+          (Hashtbl.fold (fun id _ acc -> id :: acc) t.sems []) }
 
 let kernel t = Pal.kernel t.pal
 let vnow t = K.now (kernel t)
@@ -353,9 +447,7 @@ let sync_sem_waiters s =
 let my_addr t = t.my_addr
 let is_leader t = t.leader <> None
 let rpc_sent t = t.rpc_sent
-let rpc_handled t = t.rpc_handled
 let retransmits t = t.retransmits
-let duplicates_suppressed t = Wire.Dedup.suppressed t.dedup
 
 let ep_of_handle h =
   match h.K.obj with
@@ -395,6 +487,105 @@ let respond t ep reqid resp = send_env t ep (Wire.Resp (reqid, resp))
 let respond_executed t ep ~origin ~reqid resp =
   Wire.Dedup.finish_request t.dedup ~origin ~seq:reqid resp;
   respond t ep reqid resp
+
+(* {1 Owner rules}
+
+   One copy of each queue and semaphore rule, shared by the owner's
+   own calls and the handlers that answer its peers. Each rule is a
+   take, which answers at once when it can, and a park: a caller builds
+   its waiter only when the take says it has to wait, so an answer
+   that does not wait allocates nothing. *)
+
+(* Answer a parked caller; [wire] encodes a success for a peer. *)
+let wake t w r ~wire =
+  match w with
+  | Local k -> k r
+  | Remote { ep; reqid; requester } ->
+    respond_executed t ep ~origin:requester ~reqid
+      (match r with Ok v -> wire v | Error e -> Wire.R_err e)
+
+let msg_response data = Wire.R_msg { data }
+
+let enqueue t q data =
+  match q.rwaiters with
+  | [] -> q.contents <- q.contents @ [ data ]
+  | w :: rest ->
+    q.rwaiters <- rest;
+    Contend.queue_sample (contend t) ~resource:(sysv_res "msgq" q.mq_id)
+      ~depth:(List.length rest);
+    wake t w (Ok data) ~wire:msg_response
+
+(* The receive rule: take the oldest message. The cell taken off the
+   queue ([m :: _]) answers at once; [[]] means the caller waits, and
+   it parks with [park_reader]. *)
+let msgq_take q =
+  match q.contents with
+  | _ :: rest as taken ->
+    q.contents <- rest;
+    taken
+  | [] -> []
+
+let park_reader t q w =
+  q.rwaiters <- q.rwaiters @ [ w ];
+  Contend.queue_sample (contend t) ~resource:(sysv_res "msgq" q.mq_id)
+    ~depth:(List.length q.rwaiters)
+
+let sem_release t s delta =
+  set_sem_value s (sem_value s + delta);
+  let rec wake_all woke =
+    match s.swaiters with
+    | w :: rest when sem_value s > 0 ->
+      s.swaiters <- rest;
+      sync_sem_waiters s;
+      set_sem_value s (sem_value s - 1);
+      wake t w (Ok ()) ~wire:(fun () -> Wire.R_unit);
+      wake_all true
+    | _ -> woke
+  in
+  if wake_all false then
+    Contend.queue_sample (contend t) ~resource:(sysv_res "sem" s.sm_id)
+      ~depth:(List.length s.swaiters)
+
+(* The semaphore rule: apply a release, or take a unit for an acquire.
+   [`Again] answers a would-block acquire under IPC_NOWAIT; on [`Wait]
+   the caller parks with [park_acquirer]. *)
+let sem_take t s ~delta ~nowait =
+  if delta >= 0 then begin
+    sem_release t s delta;
+    `Done
+  end
+  else if sem_value s > 0 then begin
+    set_sem_value s (sem_value s - 1);
+    `Done
+  end
+  else if nowait then `Again
+  else `Wait
+
+let park_acquirer t s w =
+  s.swaiters <- s.swaiters @ [ w ];
+  sync_sem_waiters s;
+  Contend.queue_sample (contend t) ~resource:(sysv_res "sem" s.sm_id)
+    ~depth:(List.length s.swaiters)
+
+let note_accessor q addr = if not (List.mem addr q.accessors) then q.accessors <- addr :: q.accessors
+
+(* One more operation by [requester] on a resource we own: [true] when
+   the resource should migrate to it. *)
+let grants_ownership t stats requester =
+  let n = 1 + Option.value ~default:0 (Hashtbl.find_opt stats requester) in
+  Hashtbl.replace stats requester n;
+  t.cfg.Config.migrate_ownership && n >= migrate_threshold
+
+(* Requests an owner may park: a queue receive, a semaphore acquire. *)
+let may_block = function
+  | Wire.Msgq_recv _ -> true
+  | Wire.Sem_op { delta; _ } -> delta < 0
+  | _ -> false
+
+(* The answer to a queue operation that reached us without the queue. *)
+let queue_absent t ~origin id =
+  if Hashtbl.mem t.deleted id then Wire.R_err Errno.EIDRM
+  else moved_response t ~origin id Errno.EMOVED
 
 (* {1 The helper pump} *)
 
@@ -637,18 +828,12 @@ and rpc_attempt t ~addr ~tries req k =
         (* the in-flight request window, sampled at issue and completion *)
         let mailbox = "ipc.mailbox:" ^ string_of_int pid in
         Contend.queue_sample cd ~resource:mailbox ~depth:(Hashtbl.length t.pending + 1);
-        (* a request that may legitimately block server-side (queue
-           receive, semaphore acquire) is accounted by its semantic
-           wrapper under sysv.wait.* — recording the RPC too would tell
-           the same blocked nanoseconds twice under two names *)
-        let semantic_block =
-          match req with
-          | Wire.Msgq_recv _ -> true
-          | Wire.Sem_op { delta; _ } -> delta < 0
-          | _ -> false
-        in
+        (* a request that may legitimately block server-side is
+           accounted by its semantic wrapper under sysv.wait.* —
+           recording the RPC too would tell the same blocked
+           nanoseconds twice under two names *)
         let wtok =
-          if Contend.enabled cd && not semantic_block then
+          if Contend.enabled cd && not (may_block req) then
             Some
               (Contend.wait_start cd ~pid
                  ~resource:("ipc.wait." ^ Wire.req_label req)
@@ -699,12 +884,6 @@ and rpc_attempt t ~addr ~tries req k =
    retransmissions against message loss and then wait, bounded, so a
    quiescent-but-blocked workload still lets the engine go idle. *)
 and arm_timeout t ~id ~req ~resend =
-  let may_block =
-    match req with
-    | Wire.Msgq_recv _ -> true
-    | Wire.Sem_op { delta; _ } -> delta < 0
-    | _ -> false
-  in
   let tracer = (kernel t).K.tracer in
   let rec arm n backoff =
     K.after (kernel t) (Time.add rpc_timeout backoff) (fun () ->
@@ -717,7 +896,7 @@ and arm_timeout t ~id ~req ~resend =
             let next = if doubled = 0 then backoff_base else min doubled backoff_cap in
             arm (n + 1) next
           end
-          else if not may_block then begin
+          else if not (may_block req) then begin
             match Hashtbl.find_opt t.pending id with
             | Some (_, finish) ->
               Hashtbl.remove t.pending id;
@@ -782,12 +961,7 @@ and oneway_now t ~addr n =
         send_env ~ctx:flow t (ep_of_handle h)
           (Wire.Oneway { seq = next_seq t; origin = t.my_addr; note = n }))
 
-(* {1 Leader-side request handling} *)
-
-and leader_must t f =
-  match t.leader with
-  | Some ls -> f ls
-  | None -> Wire.R_err Errno.ENOTLEADER
+(* {1 Request handling} *)
 
 and handle_request t ep ~origin reqid req =
   (* a freshly elected leader serving its first request closes the
@@ -796,33 +970,14 @@ and handle_request t ep ~origin reqid req =
     t.elected_leader <- false;
     K.note_recovery (kernel t)
   end;
+  (* only ever tail-called, so it compiles to a jump, not a closure *)
   let reply r = respond_executed t ep ~origin ~reqid r in
   match req with
-  | Wire.Pid_alloc { count; requester } ->
-    reply
-      (leader_must t (fun ls ->
-           let lo = ls.next_pid in
-           let hi = lo + count - 1 in
-           ls.next_pid <- hi + 1;
-           ls.pid_owners <- (lo, hi, requester) :: ls.pid_owners;
-           Wire.R_range { lo; hi }))
-  | Wire.Pid_query { pid } ->
-    reply
-      (leader_must t (fun ls ->
-           let owner =
-             List.find_map
-               (fun (lo, hi, addr) -> if pid >= lo && pid <= hi then Some addr else None)
-               ls.pid_owners
-           in
-           Wire.R_owner { addr = owner }))
-  | Wire.Res_query { id } ->
-    reply
-      (leader_must t (fun ls ->
-           Wire.R_resource
-             { id;
-               owner = Option.value ~default:"" (Hashtbl.find_opt ls.res_owner id);
-               persisted = Hashtbl.mem ls.res_persisted id;
-               created = false }))
+  | Wire.Pid_alloc _ | Wire.Pid_query _ | Wire.Res_query _ | Wire.Msgq_get _ | Wire.Sem_get _
+  | Wire.Msgq_unbind _ -> (
+    match t.leader with
+    | Some ls -> reply (leader_answer ls req)
+    | None -> reply (Wire.R_err Errno.ENOTLEADER))
   | Wire.Signal { to_pid; signum; from_pid } ->
     if t.callbacks.deliver_signal ~signum ~from_pid ~to_pid then reply Wire.R_unit
     else reply (Wire.R_err Errno.ESRCH)
@@ -830,60 +985,18 @@ and handle_request t ep ~origin reqid req =
     match t.callbacks.proc_read ~pid ~field with
     | Ok s -> reply (Wire.R_str s)
     | Error e -> reply (Wire.R_err e))
-  | Wire.Msgq_get { key; create; requester } ->
-    reply
-      (leader_must t (fun ls ->
-           match Hashtbl.find_opt ls.key_to_msgq key with
-           | Some id ->
-             let owner = Option.value ~default:"" (Hashtbl.find_opt ls.res_owner id) in
-             Wire.R_resource
-               { id; owner; persisted = Hashtbl.mem ls.res_persisted id; created = false }
-           | None ->
-             if not create then Wire.R_err Errno.ENOENT
-             else begin
-               let id = ls.next_rid in
-               ls.next_rid <- id + 1;
-               Hashtbl.replace ls.key_to_msgq key id;
-               Hashtbl.replace ls.res_owner id requester;
-               Wire.R_resource { id; owner = requester; persisted = false; created = true }
-             end))
-  | Wire.Sem_get { key; init; requester } ->
-    reply
-      (leader_must t (fun ls ->
-           match Hashtbl.find_opt ls.key_to_sem key with
-           | Some id ->
-             let owner = Option.value ~default:"" (Hashtbl.find_opt ls.res_owner id) in
-             Wire.R_resource { id; owner; persisted = false; created = false }
-           | None ->
-             let id = ls.next_rid in
-             ls.next_rid <- id + 1;
-             Hashtbl.replace ls.key_to_sem key id;
-             Hashtbl.replace ls.res_owner id requester;
-             ignore init;
-             Wire.R_resource { id; owner = requester; persisted = false; created = true }))
   | Wire.Msgq_send { id; data } -> (
     match Hashtbl.find_opt t.msgqs id with
-    | None ->
-      reply
-        (if Hashtbl.mem t.deleted id then Wire.R_err Errno.EIDRM
-         else moved_response t ~origin id Errno.EMOVED)
+    | None -> reply (queue_absent t ~origin id)
     | Some q ->
       enqueue t q data;
       reply Wire.R_unit)
   | Wire.Msgq_recv { id; requester } -> (
     match Hashtbl.find_opt t.msgqs id with
-    | None ->
-      reply
-        (if Hashtbl.mem t.deleted id then Wire.R_err Errno.EIDRM
-         else moved_response t ~origin id Errno.EMOVED)
+    | None -> reply (queue_absent t ~origin id)
     | Some q ->
       note_accessor q requester;
-      let n = 1 + Option.value ~default:0 (Hashtbl.find_opt q.recv_stats requester) in
-      Hashtbl.replace q.recv_stats requester n;
-      let migrate =
-        t.cfg.Config.migrate_ownership && n >= migrate_threshold
-      in
-      if migrate then begin
+      if grants_ownership t q.recv_stats requester then begin
         (* grant ownership: answer the receive and ship the rest; a
            forwarding lease stays behind so later operations that
            still reach us get the typed conflict answer *)
@@ -897,18 +1010,13 @@ and handle_request t ep ~origin reqid req =
         reply (Wire.R_msg_migrate { data; contents = rest })
       end
       else begin
-        match q.contents with
-        | m :: rest ->
-          q.contents <- rest;
-          reply (Wire.R_msg { data = m })
-        | [] ->
-          q.rwaiters <- q.rwaiters @ [ Remote { ep; reqid; requester } ];
-          Contend.queue_sample (contend t) ~resource:(sysv_res "msgq" id)
-            ~depth:(List.length q.rwaiters)
+        match msgq_take q with
+        | m :: _ -> reply (Wire.R_msg { data = m })
+        | [] -> park_reader t q (Remote { ep; reqid; requester })
       end)
   | Wire.Msgq_rmid { id } -> (
     match Hashtbl.find_opt t.msgqs id with
-    | None -> reply (moved_response t ~origin id Errno.EMOVED)
+    | None -> reply (queue_absent t ~origin id)
     | Some q ->
       delete_queue t q;
       reply Wire.R_unit)
@@ -916,43 +1024,29 @@ and handle_request t ep ~origin reqid req =
     match Hashtbl.find_opt t.sems id with
     | None -> reply (moved_response t ~origin id Errno.EMOVED)
     | Some s ->
-      if delta >= 0 then begin
-        sem_release t s delta;
-        reply Wire.R_unit
+      if delta < 0 && grants_ownership t s.acq_stats requester && sem_value s > 0
+         && s.swaiters = []
+      then begin
+        (* the acquire succeeds and the semaphore moves to the
+           frequent acquirer; a forwarding lease stays behind. The
+           shared page is revoked first: a fast-path op must never
+           land between the grant and the new owner's republish *)
+        let v = sem_value s in
+        (match s.page with
+        | Some p -> K.sem_page_invalidate (kernel t) ~sandbox:p.K.sp_sandbox ~id
+        | None -> ());
+        s.page <- None;
+        Hashtbl.remove t.sems id;
+        coord_disown t id;
+        coord_lease t Coord.Sysv id requester;
+        notify_leader_owner t `Sem id requester;
+        reply (Wire.R_sem_migrate { count = v - 1 })
       end
       else begin
-        let n = 1 + Option.value ~default:0 (Hashtbl.find_opt s.acq_stats requester) in
-        Hashtbl.replace s.acq_stats requester n;
-        let migrate =
-          t.cfg.Config.migrate_ownership && n >= migrate_threshold
-        in
-        if migrate && sem_value s > 0 && s.swaiters = [] then begin
-          (* the acquire succeeds and the semaphore moves to the
-             frequent acquirer; a forwarding lease stays behind. The
-             shared page is revoked first: a fast-path op must never
-             land between the grant and the new owner's republish *)
-          let v = sem_value s in
-          (match s.page with
-          | Some p -> K.sem_page_invalidate (kernel t) ~sandbox:p.K.sp_sandbox ~id
-          | None -> ());
-          s.page <- None;
-          Hashtbl.remove t.sems id;
-          coord_disown t id;
-          coord_lease t Coord.Sysv id requester;
-          notify_leader_owner t `Sem id requester;
-          reply (Wire.R_sem_migrate { count = v - 1 })
-        end
-        else if sem_value s > 0 then begin
-          set_sem_value s (sem_value s - 1);
-          reply Wire.R_unit
-        end
-        else if nowait then reply (Wire.R_err Errno.EAGAIN)
-        else begin
-          s.swaiters <- s.swaiters @ [ Sem_remote { ep; reqid; requester } ];
-          sync_sem_waiters s;
-          Contend.queue_sample (contend t) ~resource:(sysv_res "sem" id)
-            ~depth:(List.length s.swaiters)
-        end
+        match sem_take t s ~delta ~nowait with
+        | `Done -> reply Wire.R_unit
+        | `Again -> reply (Wire.R_err Errno.EAGAIN)
+        | `Wait -> park_acquirer t s (Remote { ep; reqid; requester })
       end)
   | Wire.Wait_any_probe -> reply Wire.R_unit
 
@@ -974,24 +1068,10 @@ and handle_notification t n =
   | Wire.Msgq_deleted { id } ->
     Hashtbl.replace t.deleted id ();
     ignore (Coord.invalidate t.coord ~ns:Coord.Sysv ~key:id)
-  | Wire.Owner_update { resource = _; id; addr } -> (
+  | Wire.Owner_update _ | Wire.Range_owned _ | Wire.Msgq_persisted _ | Wire.State_report _ -> (
     match t.leader with
-    | Some ls ->
-      Hashtbl.replace ls.res_owner id addr;
-      (* a reloaded persistent queue is live again *)
-      Hashtbl.remove ls.res_persisted id
+    | Some ls -> leader_note ls n
     | None -> ())
-  | Wire.Range_owned { lo; hi; addr } -> (
-    match t.leader with
-    | Some ls -> ls.pid_owners <- (lo, hi, addr) :: ls.pid_owners
-    | None -> ())
-  | Wire.Msgq_persisted { id } -> (
-    match t.leader with
-    | Some ls ->
-      Hashtbl.replace ls.res_persisted id ();
-      Hashtbl.remove ls.res_owner id
-    | None -> ())
-  | Wire.Leader_hello _ -> ()
   | Wire.Leader_candidate { pid; addr } ->
     if not (List.mem (pid, addr) t.candidates) then t.candidates <- (pid, addr) :: t.candidates;
     if not t.electing then join_election t
@@ -1025,22 +1105,26 @@ and handle_notification t n =
       audit t Audit.Election ~action:"adopt"
         [ ("leader", Obs.Astr addr); ("leader_pid", Obs.Aint pid) ];
       (* help the new leader rebuild its tables *)
-      oneway t ~addr (Wire.State_report { addr = t.my_addr; pid = t.my_pid;
-                                          ranges = t.pid_pool;
-                                          resources = owned_resources t })
+      oneway t ~addr (state_report t)
     end
-  | Wire.State_report { addr; pid; ranges; resources } -> (
-    match t.leader with
-    | Some ls ->
-      ls.pid_owners <- ((pid, pid, addr) :: List.map (fun (lo, hi) -> (lo, hi, addr)) ranges)
-                       @ ls.pid_owners;
-      List.iter (fun id -> Hashtbl.replace ls.res_owner id addr) resources;
-      let hwm = List.fold_left (fun a (_, hi) -> max a hi) pid ranges in
-      ls.next_pid <- max ls.next_pid (hwm + 1)
-    | None -> ())
 
-and owned_resources t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.msgqs (Hashtbl.fold (fun id _ acc -> id :: acc) t.sems [])
+(* {1 Asking the leader}
+
+   The leader answers its own calls with the functions that answer its
+   peers: directly when this instance leads, over the wire otherwise. *)
+
+and ask_leader t req k =
+  match t.leader with
+  | Some ls -> k (leader_answer ls req)
+  | None -> rpc t ~addr:t.leader_addr req k
+
+and tell_leader t note =
+  match t.leader with
+  | Some ls -> leader_note ls note
+  | None -> oneway t ~addr:t.leader_addr note
+
+and notify_leader_owner t resource id addr =
+  tell_leader t (Wire.Owner_update { resource; id; addr })
 
 (* {1 Leader recovery (paper §4.2, "Leader Recovery")}
 
@@ -1101,9 +1185,7 @@ and conclude_election t =
       audit t Audit.Election ~action:"elected" [ ("pid", Obs.Aint pid) ];
       K.note_leader (kernel t) (Pal.pico t.pal);
       (* adopt our own state directly *)
-      handle_notification t
-        (Wire.State_report { addr = t.my_addr; pid = t.my_pid; ranges = t.pid_pool;
-                             resources = owned_resources t });
+      tell_leader t (state_report t);
       broadcast_oneway t (Wire.Leader_elected { pid; addr; epoch })
     | _ ->
       (* wait for the winner's announcement a little longer; if it
@@ -1117,72 +1199,16 @@ and conclude_election t =
           end)
   end
 
-and notify_leader_owner t resource id addr =
-  match t.leader with
-  | Some ls ->
-    Hashtbl.replace ls.res_owner id addr;
-    Hashtbl.remove ls.res_persisted id
-  | None -> oneway t ~addr:t.leader_addr (Wire.Owner_update { resource; id; addr })
-
-(* {1 Queue mechanics (owner side)} *)
-
-and note_accessor q addr = if not (List.mem addr q.accessors) then q.accessors <- addr :: q.accessors
-
-and enqueue t q data =
-  match q.rwaiters with
-  | [] -> q.contents <- q.contents @ [ data ]
-  | w :: rest ->
-    q.rwaiters <- rest;
-    Contend.queue_sample (contend t) ~resource:(sysv_res "msgq" q.mq_id)
-      ~depth:(List.length rest);
-    (match w with
-    | Local k -> k (Ok data)
-    | Remote { ep; reqid; requester } ->
-      respond_executed t ep ~origin:requester ~reqid (Wire.R_msg { data }))
-
+(* The owner removes a queue: every parked receiver gets EIDRM and
+   every known accessor hears of it. The key is the remover's to free
+   ([msgrm]), so no handler ever calls the leader. *)
 and delete_queue t q =
   Hashtbl.remove t.msgqs q.mq_id;
   coord_disown t q.mq_id;
   Hashtbl.replace t.deleted q.mq_id ();
-  List.iter
-    (fun w ->
-      match w with
-      | Local k -> k (Error Errno.EIDRM)
-      | Remote { ep; reqid; requester } ->
-        respond_executed t ep ~origin:requester ~reqid (Wire.R_err Errno.EIDRM))
-    q.rwaiters;
+  List.iter (fun w -> wake t w (Error Errno.EIDRM) ~wire:msg_response) q.rwaiters;
   q.rwaiters <- [];
-  List.iter (fun addr -> oneway t ~addr (Wire.Msgq_deleted { id = q.mq_id })) q.accessors;
-  (match t.leader with
-  | Some ls ->
-    Hashtbl.remove ls.res_owner q.mq_id;
-    Hashtbl.iter
-      (fun key id -> if id = q.mq_id then Hashtbl.remove ls.key_to_msgq key)
-      (Hashtbl.copy ls.key_to_msgq)
-  | None -> ())
-
-and sem_release t s delta =
-  set_sem_value s (sem_value s + delta);
-  let woke = ref false in
-  let rec wake () =
-    if sem_value s > 0 then
-      match s.swaiters with
-      | [] -> ()
-      | w :: rest ->
-        s.swaiters <- rest;
-        sync_sem_waiters s;
-        set_sem_value s (sem_value s - 1);
-        woke := true;
-        (match w with
-        | Sem_local k -> k (Ok ())
-        | Sem_remote { ep; reqid; requester } ->
-          respond_executed t ep ~origin:requester ~reqid Wire.R_unit);
-        wake ()
-  in
-  wake ();
-  if !woke then
-    Contend.queue_sample (contend t) ~resource:(sysv_res "sem" s.sm_id)
-      ~depth:(List.length s.swaiters)
+  List.iter (fun addr -> oneway t ~addr (Wire.Msgq_deleted { id = q.mq_id })) q.accessors
 
 (* {1 Introspection (graphene top)} *)
 
@@ -1373,34 +1399,28 @@ let shutdown t =
 (* {1 PID namespace} *)
 
 (* Allocate one PID: from the local pool if possible, otherwise fetch a
-   batch from the leader (batch size is the §4.3 knob). *)
+   batch from the leader (batch size is the §4.3 knob). The leader
+   claims its own batch with the rule that answers [Pid_alloc], and
+   builds neither the request nor the reply: forks are the hot path. *)
 let rec alloc_pid t k =
   match t.pid_pool with
   | (lo, hi) :: rest ->
     t.pid_pool <- (if lo + 1 <= hi then (lo + 1, hi) :: rest else rest);
     k (Ok lo)
-  | [] ->
-    if is_leader t then begin
-      match t.leader with
-      | Some ls ->
-        let count = max 1 t.cfg.Config.pid_batch in
-        let lo = ls.next_pid in
-        let hi = lo + count - 1 in
-        ls.next_pid <- hi + 1;
-        ls.pid_owners <- (lo, hi, t.my_addr) :: ls.pid_owners;
-        t.pid_pool <- [ (lo, hi) ];
-        alloc_pid t k
-      | None -> assert false
-    end
-    else
-      rpc t ~addr:t.leader_addr
-        (Wire.Pid_alloc { count = max 1 t.cfg.Config.pid_batch; requester = t.my_addr })
-        (function
-          | Wire.R_range { lo; hi } ->
-            t.pid_pool <- t.pid_pool @ [ (lo, hi) ];
-            alloc_pid t k
-          | Wire.R_err e -> k (Error e)
-          | _ -> k (Error Errno.EPROTO))
+  | [] -> (
+    let count = max 1 t.cfg.Config.pid_batch in
+    match t.leader with
+    | Some ls ->
+      let lo = claim_pids ls ~count t.my_addr in
+      t.pid_pool <- [ (lo, lo + count - 1) ];
+      alloc_pid t k
+    | None ->
+      rpc t ~addr:t.leader_addr (Wire.Pid_alloc { count; requester = t.my_addr }) (function
+        | Wire.R_range { lo; hi } ->
+          t.pid_pool <- t.pid_pool @ [ (lo, hi) ];
+          alloc_pid t k
+        | Wire.R_err e -> k (Error e)
+        | _ -> k (Error Errno.EPROTO)))
 
 (* Carve off half of the local pool for a forked child, so the child
    can itself fork without consulting the leader. *)
@@ -1412,20 +1432,20 @@ let donate_pid_range t =
     Some (mid + 1, hi)
   | _ -> None
 
-let adopt_pid_range t (lo, hi) ~announce =
-  t.pid_pool <- t.pid_pool @ [ (lo, hi) ];
-  if announce then begin
-    match t.leader with
-    | Some ls -> ls.pid_owners <- (lo, hi, t.my_addr) :: ls.pid_owners
-    | None -> oneway t ~addr:t.leader_addr (Wire.Range_owned { lo; hi; addr = t.my_addr })
-  end
-
-let register_pid_owner t ~pid ~addr =
-  (* fork tells the leader (or records locally) where the child PID
-     itself lives, since the child's thread group is at the child *)
+(* [tell_leader t (Range_owned {lo; hi; addr})], without building the
+   note when this instance leads: every fork sends one. *)
+let announce_pids t lo hi addr =
   match t.leader with
-  | Some ls -> ls.pid_owners <- (pid, pid, addr) :: ls.pid_owners
-  | None -> oneway t ~addr:t.leader_addr (Wire.Range_owned { lo = pid; hi = pid; addr })
+  | Some ls -> own_pids ls lo hi addr
+  | None -> oneway t ~addr:t.leader_addr (Wire.Range_owned { lo; hi; addr })
+
+let adopt_pid_range t (lo, hi) =
+  t.pid_pool <- t.pid_pool @ [ (lo, hi) ];
+  announce_pids t lo hi t.my_addr
+
+(* fork tells the leader where the child PID itself lives, since the
+   child's thread group is at the child *)
+let register_pid_owner t ~pid ~addr = announce_pids t pid pid addr
 
 (* {1 Signals} *)
 
@@ -1436,11 +1456,7 @@ let resolve_pid t pid k =
     K.after (kernel t) Cost.lease_probe (fun () -> k (Some addr))
   | None -> (
     match t.leader with
-    | Some ls ->
-      k
-        (List.find_map
-           (fun (lo, hi, addr) -> if pid >= lo && pid <= hi then Some addr else None)
-           ls.pid_owners)
+    | Some ls -> k (pid_owner ls pid)  (* our own table: no lease, no stall *)
     | None ->
       let t0 = vnow t in
       rpc t ~addr:t.leader_addr (Wire.Pid_query { pid }) (fun resp ->
@@ -1516,49 +1532,21 @@ let load_persistent_queue t ~id ~key k =
           notify_leader_owner t `Msgq id t.my_addr;
           k (Ok ())))
 
-let msgq_get_meta t ~key ~create k =
-  match t.leader with
-  | Some ls -> (
-    match Hashtbl.find_opt ls.key_to_msgq key with
-    | Some id ->
-      k
-        (Ok
-           ( id,
-             Option.value ~default:"" (Hashtbl.find_opt ls.res_owner id),
-             Hashtbl.mem ls.res_persisted id,
-             false ))
-    | None ->
-      if not create then k (Error Errno.ENOENT)
-      else begin
-        let id = ls.next_rid in
-        ls.next_rid <- id + 1;
-        Hashtbl.replace ls.key_to_msgq key id;
-        Hashtbl.replace ls.res_owner id t.my_addr;
-        k (Ok (id, t.my_addr, false, true))
-      end)
-  | None ->
-    rpc t ~addr:t.leader_addr (Wire.Msgq_get { key; create; requester = t.my_addr })
-      (function
-      | Wire.R_resource { id; owner; persisted; created } -> k (Ok (id, owner, persisted, created))
-      | Wire.R_err e -> k (Error e)
-      | _ -> k (Error Errno.EPROTO))
-
 (* [k (Ok (id, created))]: [created] distinguishes queue creation from
    lookup, which have very different costs (Table 7). *)
 let msgget t ~key ~create k =
-  msgq_get_meta t ~key ~create (function
-    | Error e -> k (Error e)
-    | Ok (id, owner, persisted, created) ->
-      if persisted then
-        load_persistent_queue t ~id ~key (function
-          | Ok () -> k (Ok (id, false))
-          | Error e -> k (Error e))
-      else begin
-        if owner = t.my_addr && not (Hashtbl.mem t.msgqs id) then
-          ignore (new_local_queue t ~id ~key);
-        if owner <> "" then coord_lease t Coord.Sysv id owner;
-        k (Ok (id, created))
-      end)
+  ask_leader t (Wire.Msgq_get { key; create; requester = t.my_addr }) (function
+    | Wire.R_resource { id; persisted = true; _ } ->
+      load_persistent_queue t ~id ~key (function
+        | Ok () -> k (Ok (id, false))
+        | Error e -> k (Error e))
+    | Wire.R_resource { id; owner; created; _ } ->
+      if owner = t.my_addr && not (Hashtbl.mem t.msgqs id) then
+        ignore (new_local_queue t ~id ~key);
+      if owner <> "" then coord_lease t Coord.Sysv id owner;
+      k (Ok (id, created))
+    | Wire.R_err e -> k (Error e)
+    | _ -> k (Error Errno.EPROTO))
 
 (* Resolve a SysV id to (owner, persisted). The cache only short-cuts
    the owner; persistence is always re-checked at the leader when the
@@ -1568,24 +1556,19 @@ let resolve_resource t id k =
   | Some addr -> K.after (kernel t) Cost.lease_probe (fun () -> k (Some addr, false))
   | None -> (
     match t.leader with
-    | Some ls -> k (Hashtbl.find_opt ls.res_owner id, Hashtbl.mem ls.res_persisted id)
+    | Some ls -> k (resource_state ls id)  (* our own table: no lease, no stall *)
     | None ->
       (* a lease miss turned into a blocking round trip: account the
          stall against the cache that failed to answer *)
       let t0 = vnow t in
-      let stalled () =
-        if t.cfg.Config.cache_owners then
-          Coord.note_stall t.coord ~ns:Coord.Sysv (max 0 (Time.diff (vnow t) t0))
-      in
       rpc t ~addr:t.leader_addr (Wire.Res_query { id }) (fun resp ->
-          stalled ();
+          if t.cfg.Config.cache_owners then
+            Coord.note_stall t.coord ~ns:Coord.Sysv (max 0 (Time.diff (vnow t) t0));
           match resp with
+          | Wire.R_resource { owner = ""; persisted; _ } -> k (None, persisted)
           | Wire.R_resource { owner; persisted; _ } ->
-            let owner = if owner = "" then None else Some owner in
-            (match owner with
-            | Some addr -> coord_lease t Coord.Sysv id addr
-            | None -> ());
-            k (owner, persisted)
+            coord_lease t Coord.Sysv id owner;
+            k (Some owner, persisted)
           | _ -> k (None, false)))
 
 (* Retry an operation whose owner moved, died, or persisted: drop the
@@ -1615,6 +1598,34 @@ let with_retry t ~id op k =
       | r -> k r)
   in
   attempt moved_tries
+
+(* The failure answers an owner gives every operation: the resource
+   moved (re-aim at the named holder, and [with_retry] goes again), or
+   the operation failed. *)
+let owner_failure t id resp k =
+  match resp with
+  | Wire.R_conflict { holder; _ } ->
+    note_conflict t id holder;
+    k (Error Errno.EMOVED)
+  | Wire.R_err e -> k (Error e)
+  | _ -> k (Error Errno.EPROTO)
+
+(* The semantic wait of a blocking operation on [kind:id], from the
+   call to its answer, whether it parked here or at a remote owner. The inner
+   RPC skips its own wait record for may-block requests, so the edge
+   is counted exactly once, under the resource's name. [k] is wrapped
+   only while the contention plane is on. *)
+let contended t ~kind ~id k =
+  let cd = contend t in
+  if not (Contend.enabled cd) then k
+  else
+    let tok =
+      Contend.wait_start cd ~pid:(host_pid t) ~resource:(sysv_res kind id)
+        ?holder:(holder_of_resource t id) (vnow t)
+    in
+    fun r ->
+      Contend.wait_end cd tok (vnow t);
+      k r
 
 let rec msgsnd t ~id ~data k = with_retry t ~id (msgsnd_once t ~id ~data) k
 
@@ -1650,43 +1661,19 @@ and msgsnd_once t ~id ~data k =
                  point-to-point stream later sends fire along *)
               rpc t ~addr (Wire.Msgq_send { id; data }) (function
                 | Wire.R_unit -> k (Ok ())
-                | Wire.R_conflict { holder; _ } ->
-                  note_conflict t id holder;
-                  k (Error Errno.EMOVED)
-                | Wire.R_err e -> k (Error e)
-                | _ -> k (Error Errno.EPROTO)))
+                | resp -> owner_failure t id resp k))
 
-(* The semantic wait: from msgrcv issue to message in hand, whether
-   the block happened locally (empty queue, Local waiter) or at the
-   remote owner (deferred R_msg). The inner RPC skips its own wait
-   record for may-block requests, so this edge is counted exactly
-   once, under the queue's name. *)
 let rec msgrcv t ~id k =
-  let cd = contend t in
-  if Contend.enabled cd then begin
-    let tok =
-      Contend.wait_start cd ~pid:(host_pid t) ~resource:(sysv_res "msgq" id)
-        ?holder:(holder_of_resource t id) (vnow t)
-    in
-    with_retry t ~id (msgrcv_once t ~id) (fun r ->
-        Contend.wait_end cd tok (vnow t);
-        k r)
-  end
-  else with_retry t ~id (msgrcv_once t ~id) k
+  with_retry t ~id (msgrcv_once t ~id) (contended t ~kind:"msgq" ~id k)
 
 and msgrcv_once t ~id k =
   if Hashtbl.mem t.deleted id then k (Error Errno.EIDRM)
   else
     match Hashtbl.find_opt t.msgqs id with
     | Some q -> (
-      match q.contents with
-      | m :: rest ->
-        q.contents <- rest;
-        k (Ok m)
-      | [] ->
-        q.rwaiters <- q.rwaiters @ [ Local k ];
-        Contend.queue_sample (contend t) ~resource:(sysv_res "msgq" id)
-          ~depth:(List.length q.rwaiters))
+      match msgq_take q with
+      | m :: _ -> k (Ok m)
+      | [] -> park_reader t q (Local k))
     | None ->
       resolve_resource t id (fun (owner, persisted) ->
           match owner with
@@ -1708,29 +1695,30 @@ and msgrcv_once t ~id k =
                 (match data with
                 | Some m -> k (Ok m)
                 | None -> msgrcv_once t ~id k)
-              | Wire.R_conflict { holder; _ } ->
-                note_conflict t id holder;
-                k (Error Errno.EMOVED)
-              | Wire.R_err e -> k (Error e)
-              | _ -> k (Error Errno.EPROTO)))
+              | resp -> owner_failure t id resp k))
 
+(* Whoever removes a queue marks the id deleted here and has the
+   leader free its key before the call returns. The request comes from
+   this client, never from the owner's handler (§4.1). *)
 let msgrm t ~id k =
-  match Hashtbl.find_opt t.msgqs id with
-  | Some q ->
-    delete_queue t q;
-    k (Ok ())
-  | None ->
-    resolve_resource t id (fun (owner, _persisted) ->
-        match owner with
-        | None -> k (Error Errno.EIDRM)
-        | Some addr ->
-          rpc t ~addr (Wire.Msgq_rmid { id }) (function
-            | Wire.R_unit -> k (Ok ())
-            | Wire.R_conflict { holder; _ } ->
-              note_conflict t id holder;
-              k (Error Errno.EMOVED)
-            | Wire.R_err e -> k (Error e)
-            | _ -> k (Error Errno.EPROTO)))
+  let removed () =
+    Hashtbl.replace t.deleted id ();
+    ask_leader t (Wire.Msgq_unbind { id }) (fun _ -> k (Ok ()))
+  in
+  if Hashtbl.mem t.deleted id then k (Error Errno.EIDRM)
+  else
+    match Hashtbl.find_opt t.msgqs id with
+    | Some q ->
+      delete_queue t q;
+      removed ()
+    | None ->
+      resolve_resource t id (fun (owner, _persisted) ->
+          match owner with
+          | None -> k (Error Errno.EIDRM)
+          | Some addr ->
+            rpc t ~addr (Wire.Msgq_rmid { id }) (function
+              | Wire.R_unit -> removed ()
+              | resp -> owner_failure t id resp k))
 
 (* On exit, owned queues with contents survive as files ("a common
    file naming scheme to serialize message queues to disk"). *)
@@ -1746,11 +1734,7 @@ let persist_owned_queues t =
           | Ok h ->
             Pal.stream_write t.pal h ~off:0 data (fun _ -> ());
             Pal.stream_close t.pal h (fun _ -> ());
-            (match t.leader with
-            | Some ls ->
-              Hashtbl.replace ls.res_persisted q.mq_id ();
-              Hashtbl.remove ls.res_owner q.mq_id
-            | None -> oneway t ~addr:t.leader_addr (Wire.Msgq_persisted { id = q.mq_id }))
+            tell_leader t (Wire.Msgq_persisted { id = q.mq_id })
           | Error _ -> ())
       end;
       Hashtbl.remove t.msgqs q.mq_id;
@@ -1775,26 +1759,14 @@ let new_local_sem t ~id ~key ~count =
   s
 
 let semget t ~key ~init k =
-  match t.leader with
-  | Some ls -> (
-    match Hashtbl.find_opt ls.key_to_sem key with
-    | Some id -> k (Ok (id, false))
-    | None ->
-      let id = ls.next_rid in
-      ls.next_rid <- id + 1;
-      Hashtbl.replace ls.key_to_sem key id;
-      Hashtbl.replace ls.res_owner id t.my_addr;
-      ignore (new_local_sem t ~id ~key ~count:init);
-      k (Ok (id, true)))
-  | None ->
-    rpc t ~addr:t.leader_addr (Wire.Sem_get { key; init; requester = t.my_addr }) (function
-      | Wire.R_resource { id; owner; created; _ } ->
-        if owner = t.my_addr && not (Hashtbl.mem t.sems id) then
-          ignore (new_local_sem t ~id ~key ~count:init);
-        if owner <> "" then coord_lease t Coord.Sysv id owner;
-        k (Ok (id, created))
-      | Wire.R_err e -> k (Error e)
-      | _ -> k (Error Errno.EPROTO))
+  ask_leader t (Wire.Sem_get { key; init; requester = t.my_addr }) (function
+    | Wire.R_resource { id; owner; created; _ } ->
+      if owner = t.my_addr && not (Hashtbl.mem t.sems id) then
+        ignore (new_local_sem t ~id ~key ~count:init);
+      if owner <> "" then coord_lease t Coord.Sysv id owner;
+      k (Ok (id, created))
+    | Wire.R_err e -> k (Error e)
+    | _ -> k (Error Errno.EPROTO))
 
 (* Same shape as [msgrcv]: an acquire ([delta < 0]) is the blocking
    edge, charged to the semaphore whether it blocks locally or at the
@@ -1803,36 +1775,16 @@ let semget t ~key ~init k =
    instead of queueing, locally and over the wire alike. *)
 let rec semop t ?(nowait = false) ~id ~delta k =
   if delta < 0 then t.fp.slow_acquires <- t.fp.slow_acquires + 1;
-  let cd = contend t in
-  if delta < 0 && (not nowait) && Contend.enabled cd then begin
-    let tok =
-      Contend.wait_start cd ~pid:(host_pid t) ~resource:(sysv_res "sem" id)
-        ?holder:(holder_of_resource t id) (vnow t)
-    in
-    with_retry t ~id (semop_once t ~nowait ~id ~delta) (fun r ->
-        Contend.wait_end cd tok (vnow t);
-        k r)
-  end
-  else with_retry t ~id (semop_once t ~nowait ~id ~delta) k
+  let k = if delta < 0 && not nowait then contended t ~kind:"sem" ~id k else k in
+  with_retry t ~id (semop_once t ~nowait ~id ~delta) k
 
 and semop_once t ~nowait ~id ~delta k =
   match Hashtbl.find_opt t.sems id with
-  | Some s ->
-    if delta >= 0 then begin
-      sem_release t s delta;
-      k (Ok ())
-    end
-    else if sem_value s > 0 then begin
-      set_sem_value s (sem_value s - 1);
-      k (Ok ())
-    end
-    else if nowait then k (Error Errno.EAGAIN)
-    else begin
-      s.swaiters <- s.swaiters @ [ Sem_local k ];
-      sync_sem_waiters s;
-      Contend.queue_sample (contend t) ~resource:(sysv_res "sem" id)
-        ~depth:(List.length s.swaiters)
-    end
+  | Some s -> (
+    match sem_take t s ~delta ~nowait with
+    | `Done -> k (Ok ())
+    | `Again -> k (Error Errno.EAGAIN)
+    | `Wait -> park_acquirer t s (Local k))
   | None ->
     resolve_resource t id (fun (owner, _persisted) ->
         match owner with
@@ -1852,11 +1804,7 @@ and semop_once t ~nowait ~id ~delta k =
               ignore (new_local_sem t ~id ~key:0 ~count);
               notify_leader_owner t `Sem id t.my_addr;
               k (Ok ())
-            | Wire.R_conflict { holder; _ } ->
-              note_conflict t id holder;
-              k (Error Errno.EMOVED)
-            | Wire.R_err e -> k (Error e)
-            | _ -> k (Error Errno.EPROTO)))
+            | resp -> owner_failure t id resp k))
 
 (* {1 The shared-page fast path}
 
@@ -1990,7 +1938,7 @@ let snapshot_for_child t =
 let restore_inherited t (i : inherited) =
   t.leader_addr <- i.i_leader_addr;
   (match i.i_pid_range with
-  | Some r -> adopt_pid_range t r ~announce:true
+  | Some r -> adopt_pid_range t r
   | None -> ());
   (* inherited resolutions lease afresh from the child's clock *)
   Coord.import t.coord ~now:(vnow t) ~ns:Coord.Sysv i.i_owner_cache;
@@ -2017,4 +1965,3 @@ let become_isolated t ~first_pid =
 let ping t ~addr k = rpc t ~addr Wire.Wait_any_probe (fun _ -> k ())
 
 let set_my_pid t pid = t.my_pid <- pid
-let election_epoch t = Coord.epoch t.coord

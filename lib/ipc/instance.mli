@@ -55,22 +55,11 @@ val create :
 
 val shutdown : t -> unit
 val my_addr : t -> string
-val is_leader : t -> bool
 val set_my_pid : t -> int -> unit
 val rpc_sent : t -> int
-val rpc_handled : t -> int
 
 val retransmits : t -> int
 (** Requests this instance re-sent after a timeout. *)
-
-val duplicates_suppressed : t -> int
-(** Incoming duplicates (retransmissions, fault-injected copies) this
-    instance's {!Wire.Dedup} swallowed. *)
-
-val election_epoch : t -> int
-(** The election epoch this instance currently holds: 0 until a
-    re-election, then the winner's announced epoch (monotone — the
-    audit plane's epoch-monotonicity invariant). *)
 
 val snapshot : t -> string
 (** A human-readable dump of this instance's live coordination state
@@ -86,17 +75,9 @@ val alloc_pid : t -> ((int, Errno.t) result -> unit) -> unit
 (** From the local pool; refills from the leader in batches of
     {!Config.t.pid_batch}. *)
 
-val donate_pid_range : t -> (int * int) option
-(** Carve off half the local pool for a forked child, so it can itself
-    fork without consulting the leader. *)
-
-val adopt_pid_range : t -> int * int -> announce:bool -> unit
 val register_pid_owner : t -> pid:int -> addr:string -> unit
 
 (** {1 Signals (Table 2: Signaling)} *)
-
-val resolve_pid : t -> int -> (string option -> unit) -> unit
-(** PID to instance address, through the cache or the leader. *)
 
 val send_signal :
   t -> to_pid:int -> signum:int -> from_pid:int -> ((unit, Errno.t) result -> unit) -> unit

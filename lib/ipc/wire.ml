@@ -28,6 +28,9 @@ type request =
       (** [nowait]: IPC_NOWAIT — a would-block acquire gets EAGAIN back
           instead of queueing at the owner *)
   | Wait_any_probe  (** liveness check *)
+  | Msgq_unbind of { id : int }
+      (** leader only: free the key of a removed queue; sent by the
+          remover before its [msgctl] returns *)
 
 type notification =
   | Exit_notify of { pid : int; code : int }
@@ -42,7 +45,6 @@ type notification =
           slice of the parent's batch to the child) *)
   | Msgq_persisted of { id : int }
       (** owner exited; queue contents serialized to disk *)
-  | Leader_hello of { addr : string }
   | Leader_candidate of { pid : int; addr : string }
       (** leader-recovery election over the broadcast stream (§4.2):
           candidates announce; lowest PID wins *)
@@ -57,7 +59,6 @@ type notification =
 
 type response =
   | R_unit
-  | R_int of int
   | R_str of string
   | R_range of { lo : int; hi : int }
   | R_owner of { addr : string option }
@@ -112,6 +113,7 @@ let req_label = function
   | Sem_get _ -> "sem_get"
   | Sem_op _ -> "sem_op"
   | Wait_any_probe -> "wait_any_probe"
+  | Msgq_unbind _ -> "msgq_unbind"
 
 let notification_label = function
   | Exit_notify _ -> "exit_notify"
@@ -121,7 +123,6 @@ let notification_label = function
   | Owner_update _ -> "owner_update"
   | Range_owned _ -> "range_owned"
   | Msgq_persisted _ -> "msgq_persisted"
-  | Leader_hello _ -> "leader_hello"
   | Leader_candidate _ -> "leader_candidate"
   | Leader_elected _ -> "leader_elected"
   | State_report _ -> "state_report"

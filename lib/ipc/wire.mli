@@ -33,6 +33,9 @@ type request =
       (** [nowait]: IPC_NOWAIT — a would-block acquire gets EAGAIN back
           instead of queueing at the owner *)
   | Wait_any_probe  (** liveness check *)
+  | Msgq_unbind of { id : int }
+      (** leader only: free the key of a removed queue; sent by the
+          remover before its [msgctl] returns *)
 
 type notification =
   | Exit_notify of { pid : int; code : int }
@@ -47,7 +50,6 @@ type notification =
           slice of the parent's batch to the child) *)
   | Msgq_persisted of { id : int }
       (** owner exited; queue contents serialized to disk *)
-  | Leader_hello of { addr : string }
   | Leader_candidate of { pid : int; addr : string }
       (** leader-recovery election over the broadcast stream (§4.2):
           candidates announce; lowest PID wins *)
@@ -68,7 +70,6 @@ type notification =
 
 type response =
   | R_unit
-  | R_int of int
   | R_str of string
   | R_range of { lo : int; hi : int }
   | R_owner of { addr : string option }

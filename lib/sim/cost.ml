@@ -5,7 +5,6 @@ let interp_step = Time.ns 2
 let host_syscall_entry = Time.ns 40
 let libos_call = Time.ns 10
 let seccomp_insn = Time.ns 2
-let sigsys_redirect = Time.ns 300
 
 let host_read_base = Time.ns 50
 let host_write_base = Time.ns 70
@@ -21,7 +20,6 @@ let lsm_path_check = Time.ns 1_560
 let refmon_cache_hit = Time.ns 60
 let lease_probe = Time.ns 25
 let sem_fast_op = Time.ns 90
-let sem_page_probe = Time.ns 30
 let vdso_call = Time.ns 30
 let ring_submit = Time.ns 150
 let ring_sqe = Time.ns 20
@@ -40,7 +38,6 @@ let epoll_ready_event = Time.ns 180
 let stream_oneway = Time.us 2.3
 let stream_connect = Time.us 1_500.
 let tcp_connect = Time.us 120.
-let af_unix_pal_overhead = Time.us 1.0
 
 let native_sig_install = Time.ns 110
 let libos_sig_install = Time.ns 200
@@ -48,7 +45,6 @@ let native_self_signal = Time.ns 790
 let libos_self_signal = Time.ns 330
 let helper_dispatch = Time.us 22.0
 let rpc_handler = Time.us 5.0
-let leader_query = Time.us 450.
 
 let native_process_start = Time.us 208.
 let native_fork = Time.us 67.
@@ -66,14 +62,10 @@ let cow_fault = Time.ns 900
 let kvm_boot = Time.s 3.3
 let kvm_checkpoint_per_byte = 9.4
 let kvm_resume_per_byte = 10.9
-let kvm_exit = Time.ns 1_500
 let virtio_net_overhead = Time.us 2.5
 let kvm_syscall_overhead = Time.ns 100
 
 let page_size = 4096
-let linux_hello_rss = 352 * 1024
-let graphene_hello_rss = 1_434 * 1024
-let graphene_child_incremental = 790 * 1024
 let kvm_min_ram = 128 * 1024 * 1024
 let qemu_device_overhead = 25 * 1024 * 1024
 

@@ -32,10 +32,6 @@ val seccomp_insn : Time.t
 (** Evaluating one BPF instruction of the installed seccomp filter.
     [structural] *)
 
-val sigsys_redirect : Time.t
-(** SIGSYS delivery + redirect of a filtered syscall back into
-    libLinux (static-binary compatibility path). [structural] *)
-
 (** {1 Files and streams} *)
 
 val host_read_base : Time.t
@@ -100,11 +96,6 @@ val sem_fast_op : Time.t
     path, vs the ~25 us Sem_op RPC it replaces. [structural; the
     authors hint at exactly this shared-memory fast path "in ongoing
     work", Table 5 discussion] *)
-
-val sem_page_probe : Time.t
-(** Looking up a shared sem page and deciding fast-vs-slow (validity,
-    sandbox, waiter check); charged even when the answer is "fall back
-    to the RPC". [structural] *)
 
 val vdso_call : Time.t
 (** A syscall serviced from the read-only per-picoprocess vDSO page the
@@ -186,15 +177,10 @@ val stream_oneway : Time.t
 
 val stream_connect : Time.t
 (** Establishing a new point-to-point stream (create + handshake +
-    handle grant). [structural; with leader query composes to the
-    paper's ~2 ms first-signal cost] *)
+    handle grant). [structural] *)
 
 val tcp_connect : Time.t
 (** Loopback TCP connect handshake. [structural] *)
-
-val af_unix_pal_overhead : Time.t
-(** PAL translation on socket send/recv (Graphene AF_UNIX 5.71 us vs
-    4.71 us). [structural] *)
 
 (** {1 Signals} *)
 
@@ -220,10 +206,6 @@ val helper_dispatch : Time.t
 val rpc_handler : Time.t
 (** Executing a simple RPC handler body (signal mark-pending, exit
     notification, ...). [structural] *)
-
-val leader_query : Time.t
-(** Round trip to the sandbox leader to resolve a name owner (uses the
-    broadcast stream). [structural; first-signal path totals ~2 ms] *)
 
 (** {1 Process lifecycle} *)
 
@@ -281,9 +263,6 @@ val kvm_checkpoint_per_byte : float
 val kvm_resume_per_byte : float
 (** ns/byte to load the VM RAM image (1.146 s). [paper] *)
 
-val kvm_exit : Time.t
-(** VM exit + re-entry for an emulated operation. [structural] *)
-
 val virtio_net_overhead : Time.t
 (** Per-operation bridged-virtio overhead (KVM network rows of Table 5
     lose 3-22% vs native). [structural] *)
@@ -295,16 +274,6 @@ val kvm_syscall_overhead : Time.t
 (** {1 Memory accounting (bytes, not time)} *)
 
 val page_size : int
-val linux_hello_rss : int
-(** Minimal "hello world" RSS on Linux: 352 KB. [paper §6.2] *)
-
-val graphene_hello_rss : int
-(** Same program on Graphene: 1.4 MB. [paper §6.2] *)
-
-val graphene_child_incremental : int
-(** Incremental RSS of a forked hello child with COW sharing: 790 KB.
-    [paper §6.2] *)
-
 val kvm_min_ram : int
 (** Smallest VM RAM that does not harm performance: 128 MB. [paper] *)
 

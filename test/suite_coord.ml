@@ -1,5 +1,5 @@
 (** The unified coordination table (docs/COORDINATION.md): the sealed
-    acquire/release/check/renew/sweep verbs, the one typed conflict
+    acquire/release/check/sweep verbs, the one typed conflict
     shape, the TTL-expiry-vs-acquire race fix, epoch machinery, and
     end-to-end: typed conflict answers after ownership migration,
     leader-kill chaos leaving zero stale entries, and audit-stream
@@ -98,19 +98,6 @@ let test_expiry_races_acquire () =
   ignore (Coord.acquire c ~now:(T.us 2.) ~ns:Coord.Sysv ~key:6 ~owner:"g1" ~kind:Coord.Held ~tag:"msgq" ());
   check_bool "live lease drop is an invalidation" true
     (List.exists (function Coord.Invalidate { key = 6; _ } -> true | _ -> false) (events ()))
-
-let test_renew () =
-  let c = mk () in
-  ignore (Coord.acquire c ~now:0 ~ns:Coord.Pid ~key:3 ~owner:"g4" ());
-  (* renewing inside the TTL restarts the clock *)
-  check_bool "renewed" true (Coord.renew c ~now:(T.us 8.) ~ns:Coord.Pid ~key:3);
-  check_bool "answers past the original deadline" true
-    (Coord.check c ~now:(T.us 15.) ~ns:Coord.Pid ~key:3 = Some "g4");
-  (* an expired entry cannot be revived *)
-  check_bool "expired renew fails" false (Coord.renew c ~now:(T.us 40.) ~ns:Coord.Pid ~key:3);
-  (* a held key is trivially renewed *)
-  ignore (Coord.acquire c ~now:0 ~ns:Coord.Sysv ~key:1 ~owner:"g1" ~kind:Coord.Held ());
-  check_bool "held renew" true (Coord.renew c ~now:(T.ms 9.) ~ns:Coord.Sysv ~key:1)
 
 let test_sweep_scoping () =
   let c = mk () in
@@ -451,7 +438,6 @@ let suite =
   [ case "the sealed verbs" test_verbs;
     case "conflict returns holder+epoch" test_conflict_shape;
     case "expiry-vs-acquire race resolves to the writer" test_expiry_races_acquire;
-    case "renew restarts the lease clock" test_renew;
     case "sweep scoping: peer death, epoch, exit" test_sweep_scoping;
     case "epoch bumps are monotone and sweep" test_epoch_machinery;
     case "fork export excludes authority" test_export_import;

@@ -156,6 +156,121 @@ let fs_prop =
         QCheck.Test.fail_reportf "fs ops diverged (seed %d):\nlinux: %S\ngraphene: %S" seed o1 o2
       else true)
 
+(* {1 Random System V programs}
+
+   Three phases of non-blocking SysV operations over two keys: the
+   leader runs phase A, a forked child phase B, and the leader phase C
+   while the child still lives; two pipes order the phases. The stacks
+   number queues and semaphores differently, so ids are compared by
+   order of first appearance. Releases ([semop +1]) stay out: an
+   asynchronous release can be overtaken (EXPERIMENTS.md, deviation
+   (e)). *)
+
+type sysv_op =
+  | Msgget of int * bool  (** key, create *)
+  | Msgsnd of int
+  | Rmid of int
+  | Semget of int
+  | Semtry of int  (** [semop_try s -1] *)
+
+let gen_sysv_phase rng =
+  List.init (Rng.int_in rng 0 6) (fun _ ->
+      let k = Rng.int rng 2 in
+      match Rng.int rng 6 with
+      | 0 -> Msgget (k, false)
+      | 1 -> Msgget (k, true)
+      | 2 -> Msgsnd k
+      | 3 -> Rmid k
+      | 4 -> Semget k
+      | _ -> Semtry k)
+
+let show_sysv_op = function
+  | Msgget (k, c) -> Printf.sprintf "msgget k%d %d" k (Bool.to_int c)
+  | Msgsnd k -> Printf.sprintf "msgsnd q%d" k
+  | Rmid k -> Printf.sprintf "msgctl_rmid q%d" k
+  | Semget k -> Printf.sprintf "semget k%d" k
+  | Semtry k -> Printf.sprintf "semop_try s%d -1" k
+
+let sysv_prog (a, b, c) =
+  let open B in
+  let q k = Printf.sprintf "q%d" k and s k = Printf.sprintf "s%d" k in
+  let key k = int (600 + k) in
+  let out tag e = sys "print" [ str (tag ^ "=") ^% str_of_int e ^% str ";" ] in
+  let step = function
+    | Msgget (k, create) ->
+      seq
+        [ set (q k) (sys "msgget" [ key k; int (Bool.to_int create) ]);
+          out "id" (v (q k)) ]
+    | Msgsnd k -> out "snd" (sys "msgsnd" [ v (q k); str "m" ])
+    | Rmid k -> out "rm" (sys "msgctl_rmid" [ v (q k) ])
+    | Semget k -> seq [ set (s k) (sys "semget" [ key k; int 1 ]); out "id" (v (s k)) ]
+    | Semtry k -> out "try" (sys "semop_try" [ v (s k); int (-1) ])
+  in
+  let phase name ops = seq (sys "print" [ str ("|" ^ name ^ "|") ] :: List.map step ops) in
+  prog ~name:"/bin/fuzzsysv"
+    (List.fold_right
+       (fun var body -> let_ var (int (-1)) body)
+       [ "q0"; "q1"; "s0"; "s1" ]
+       (let_ "p1" (sys "pipe" [])
+          (let_ "p2" (sys "pipe" [])
+             (seq
+                [ phase "A" a;
+                  let_ "pid" (sys "fork" [])
+                    (if_ (v "pid" =% int 0)
+                       (seq
+                          [ phase "B" b;
+                            sys "write" [ snd_ (v "p1"); str "b" ];
+                            sys "read" [ fst_ (v "p2"); int 1 ];
+                            sys "exit" [ int 0 ] ])
+                       (seq
+                          [ sys "read" [ fst_ (v "p1"); int 1 ];
+                            phase "C" c;
+                            sys "write" [ snd_ (v "p2"); str "c" ];
+                            sys "wait" [];
+                            sys "exit" [ int 0 ] ])) ]))))
+
+(* Replace each id ([id=N;], N >= 0) by its order of first appearance. *)
+let normalize_ids out =
+  let seen = Hashtbl.create 4 in
+  String.split_on_char ';' out
+  |> List.map (fun tok ->
+         match String.index_opt tok '=' with
+         | Some i when String.sub tok 0 i |> String.ends_with ~suffix:"id" -> (
+           match int_of_string_opt (String.sub tok (i + 1) (String.length tok - i - 1)) with
+           | Some n when n >= 0 ->
+             let canon =
+               match Hashtbl.find_opt seen n with
+               | Some c -> c
+               | None ->
+                 let c = Hashtbl.length seen in
+                 Hashtbl.replace seen n c;
+                 c
+             in
+             Printf.sprintf "%s#%d" (String.sub tok 0 (i + 1)) canon
+           | _ -> tok)
+         | _ -> tok)
+  |> String.concat ";"
+
+let sysv_prop =
+  QCheck.Test.make ~name:"random SysV programs agree across stacks" ~count:300
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let a = gen_sysv_phase rng in
+      let b = gen_sysv_phase rng in
+      let c = gen_sysv_phase rng in
+      let run stack =
+        let r = run_prog ~stack (sysv_prog (a, b, c)) in
+        (W.exited r.p, normalize_ids (r.out ()))
+      in
+      let e1, o1 = run W.Linux in
+      let e2, o2 = run W.Graphene in
+      if not (e1 && e2 && o1 = o2) then
+        let show ops = String.concat "; " (List.map show_sysv_op ops) in
+        QCheck.Test.fail_reportf "SysV program diverged (seed %d):\nA: %s\nB: %s\nC: %s\nlinux: %S\ngraphene: %S"
+          seed (show a) (show b) (show c) o1 o2
+      else true)
+
 (* {1 Time-syscall parity}
 
    Clocks tick at different rates across stacks, so absolute readings
@@ -209,3 +324,4 @@ let time_shape_case =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest [ shell_prop; fs_prop ] @ [ time_shape_case ]
+  @ [ QCheck_alcotest.to_alcotest sysv_prop ]

@@ -23,6 +23,18 @@ let both_stacks prog_ =
   expect_exit n;
   check_str "stacks agree" (g.out ()) (n.out ())
 
+(* Each stack must print [expected] and exit cleanly. *)
+let per_stack answers prog_ =
+  List.iter
+    (fun (stack, expected) ->
+      let r = run_prog ~stack prog_ in
+      expect_exit r;
+      check_str (W.stack_name stack ^ " console") expected (r.out ()))
+    answers
+
+let on_every_stack expected =
+  per_stack [ (W.Linux, expected); (W.Graphene, expected); (W.Graphene_rm, expected) ]
+
 let pid_tests =
   [ case "forked pids are dense and distinct (batch allocation)" (fun () ->
         let g =
@@ -116,24 +128,20 @@ let msgq_tests =
                            die ])
                       (seq [ sayn (sys "msgrcv" [ v "id" ]); sys "wait" []; die ]))))));
     case "deleting a queue wakes blocked receivers with -EIDRM" (fun () ->
-        let g =
-          run_prog
-            (p "/bin/t"
-               (let_ "id"
-                  (sys "msgget" [ int 6; int 1 ])
-                  (let_ "pid" (sys "fork" [])
-                     (if_ (v "pid" =% int 0)
-                        (seq
-                           [ sys "nanosleep" [ int 2_000_000 ];
-                             sys "msgctl_rmid" [ v "id" ];
-                             die ])
-                        (seq
-                           [ sayn (str "rcv=" ^% str_of_int (sys "msgrcv" [ v "id" ]));
-                             sys "wait" [];
-                             die ])))))
-        in
-        expect_exit g;
-        expect_console_contains "rcv=-43" g);
+        on_every_stack "rcv=-43\n"
+          (p "/bin/t"
+             (let_ "id"
+                (sys "msgget" [ int 6; int 1 ])
+                (let_ "pid" (sys "fork" [])
+                   (if_ (v "pid" =% int 0)
+                      (seq
+                         [ sys "nanosleep" [ int 2_000_000 ];
+                           sys "msgctl_rmid" [ v "id" ];
+                           die ])
+                      (seq
+                         [ sayn (str "rcv=" ^% str_of_int (sys "msgrcv" [ v "id" ]));
+                           sys "wait" [];
+                           die ]))))));
     case "ownership migrates to a repeat consumer" (fun () ->
         (* after the child drains several messages, the queue should be
            owned locally — verified through the Lx instance's ipc *)
@@ -377,4 +385,137 @@ let recovery_tests =
         expect_console_contains "B signalled" g;
         expect_console_contains "kill=0" g) ]
 
-let suite = pid_tests @ msgq_tests @ sem_tests @ ablation_tests @ recovery_tests
+(* {1 Removing a queue}
+
+   Every stack gives Linux's answers: the remove frees the key, and a
+   second remove or a later send answers -EIDRM, whichever process
+   owns the queue. *)
+
+let say_int label e = sayn (str (label ^ "=") ^% str_of_int e)
+
+let removal_tests =
+  [ case "a queue removed by a child frees its key" (fun () ->
+        (* the child is not the leader, and the key lives at the leader *)
+        on_every_stack "rm=0\nget0=-2\nfresh id\nsnd=0\n"
+          (p "/bin/t"
+             (let_ "pid" (sys "fork" [])
+                (if_ (v "pid" =% int 0)
+                   (let_ "id"
+                      (sys "msgget" [ int 31; int 1 ])
+                      (seq
+                         [ say_int "rm" (sys "msgctl_rmid" [ v "id" ]);
+                           say_int "get0" (sys "msgget" [ int 31; int 0 ]);
+                           let_ "id2"
+                             (sys "msgget" [ int 31; int 1 ])
+                             (seq
+                                [ sayn (if_ (v "id2" =% v "id") (str "same id") (str "fresh id"));
+                                  say_int "snd" (sys "msgsnd" [ v "id2"; str "x" ]) ]);
+                           die ]))
+                   (seq [ sys "wait" []; die ])))));
+    case "removing a queue twice answers -EIDRM" (fun () ->
+        on_every_stack "rm1=0\nrm2=-43\nparent=-43\n"
+          (p "/bin/t"
+             (let_ "id"
+                (sys "msgget" [ int 32; int 1 ])
+                (let_ "pid" (sys "fork" [])
+                   (if_ (v "pid" =% int 0)
+                      (seq
+                         [ say_int "rm1" (sys "msgctl_rmid" [ v "id" ]);
+                           say_int "rm2" (sys "msgctl_rmid" [ v "id" ]);
+                           die ])
+                      (seq
+                         [ sys "wait" [];
+                           say_int "parent" (sys "msgctl_rmid" [ v "id" ]);
+                           die ]))))));
+    case "a send after removing another process's queue answers -EIDRM" (fun () ->
+        (* the first send opens the stream later sends would fire along *)
+        on_every_stack "snd1=0\nrm=0\nsnd2=-43\n"
+          (p "/bin/t"
+             (let_ "id"
+                (sys "msgget" [ int 33; int 1 ])
+                (let_ "pid" (sys "fork" [])
+                   (if_ (v "pid" =% int 0)
+                      (seq
+                         [ say_int "snd1" (sys "msgsnd" [ v "id"; str "a" ]);
+                           say_int "rm" (sys "msgctl_rmid" [ v "id" ]);
+                           say_int "snd2" (sys "msgsnd" [ v "id"; str "b" ]);
+                           die ])
+                      (seq [ sys "wait" []; die ])))))) ]
+
+(* {1 Known deviations (EXPERIMENTS.md)}
+
+   Each case pins today's answer on each stack, so a change that
+   removes the deviation shows up here. *)
+
+let deviation_tests =
+  [ case "deviation (e): an asynchronous sem release can be overtaken" (fun () ->
+        (* the child's release leaves fire-and-forget; its next trylock
+           reads the owner's shared page before the release lands *)
+        per_stack [ (W.Linux, "0 0 0\n"); (W.Graphene, "0 0 -1\n"); (W.Graphene_rm, "0 0 -1\n") ]
+          (p "/bin/t"
+             (let_ "s"
+                (sys "semget" [ int 34; int 1 ])
+                (let_ "pid" (sys "fork" [])
+                   (if_ (v "pid" =% int 0)
+                      (let_ "a"
+                         (sys "semop" [ v "s"; int 1 ])
+                         (let_ "b"
+                            (sys "semop_try" [ v "s"; int (-1) ])
+                            (let_ "c"
+                               (sys "semop_try" [ v "s"; int (-1) ])
+                               (seq
+                                  [ sayn
+                                      (str_of_int (v "a") ^% str " " ^% str_of_int (v "b")
+                                     ^% str " " ^% str_of_int (v "c"));
+                                    die ]))))
+                      (seq [ sys "wait" []; die ]))))));
+    case "deviation (f): SysV objects die with their owning instance" (fun () ->
+        (* a semaphore lives in its owner's address space: once the
+           creator has exited and the leader has reaped it, the key
+           names a fresh semaphore *)
+        per_stack
+          [ (W.Linux, "child=0\nparent=-1\n");
+            (W.Graphene, "child=0\nparent=0\n");
+            (W.Graphene_rm, "child=0\nparent=0\n") ]
+          (p "/bin/t"
+             (let_ "pid" (sys "fork" [])
+                (if_ (v "pid" =% int 0)
+                   (seq
+                      [ say_int "child"
+                          (sys "semop_try" [ sys "semget" [ int 36; int 1 ]; int (-1) ]);
+                        die ])
+                   (seq
+                      [ sys "wait" [];
+                        sys "nanosleep" [ int 1_000_000 ];
+                        say_int "parent"
+                          (sys "semop_try" [ sys "semget" [ int 36; int 1 ]; int (-1) ]);
+                        die ]))));
+        (* a queue persisted at exit: the child's exit notification
+           overtakes its persist note, so the parent's remove finds no
+           live owner *)
+        per_stack
+          [ (W.Linux, "rm=0\nget0=-2\n");
+            (W.Graphene, "rm=-43\nget0=bound\n");
+            (W.Graphene_rm, "rm=-11\nget0=-2\n") ]
+          (p "/bin/t"
+             (let_ "pid" (sys "fork" [])
+                (if_ (v "pid" =% int 0)
+                   (let_ "id"
+                      (sys "msgget" [ int 35; int 1 ])
+                      (seq [ sys "msgsnd" [ v "id"; str "m" ]; die ]))
+                   (seq
+                      [ sys "wait" [];
+                        let_ "id"
+                          (sys "msgget" [ int 35; int 1 ])
+                          (seq
+                             [ say_int "rm" (sys "msgctl_rmid" [ v "id" ]);
+                               let_ "g"
+                                 (sys "msgget" [ int 35; int 0 ])
+                                 (sayn
+                                    (if_ (v "g" >=% int 0) (str "get0=bound")
+                                       (str "get0=" ^% str_of_int (v "g")))) ]);
+                        die ]))))) ]
+
+let suite =
+  pid_tests @ msgq_tests @ sem_tests @ ablation_tests @ recovery_tests @ removal_tests
+  @ deviation_tests
