@@ -138,19 +138,16 @@ let run () =
   let first, cached = signal_latencies (Config.default ()) in
   Table.add_row t [ "default"; "first signal (owner lookup + stream setup)"; Printf.sprintf "%.0f" first ];
   Table.add_row t [ "default"; "cached signal"; Printf.sprintf "%.1f" cached ];
-  let nocache = Config.default () in
-  nocache.Config.cache_p2p <- false;
-  nocache.Config.cache_owners <- false;
-  let _, uncached = signal_latencies nocache in
+  let _, uncached =
+    signal_latencies { (Config.default ()) with Config.cache_p2p = false; cache_owners = false }
+  in
   Table.add_row t
     [ "no p2p/owner caching"; "every signal (re-resolve + reconnect)";
       Printf.sprintf "%.0f" uncached ];
   Table.add_separator t;
   (* message queue optimizations *)
   let dflt = msgq_recv_us (Config.default ()) in
-  let nomig = Config.default () in
-  nomig.Config.migrate_ownership <- false;
-  let remote = msgq_recv_us nomig in
+  let remote = msgq_recv_us { (Config.default ()) with Config.migrate_ownership = false } in
   let naive = msgq_recv_us (Config.naive ()) in
   Table.add_row t [ "default (migrate+async)"; "remote msgrcv"; Printf.sprintf "%.1f" dflt ];
   Table.add_row t [ "no ownership migration"; "remote msgrcv"; Printf.sprintf "%.1f" remote ];
@@ -158,9 +155,7 @@ let run () =
   Table.add_separator t;
   (* PID batching *)
   let batch50 = fork_us (Config.default ()) in
-  let b1 = Config.default () in
-  b1.Config.pid_batch <- 1;
-  let batch1 = fork_us b1 in
+  let batch1 = fork_us { (Config.default ()) with Config.pid_batch = 1 } in
   Table.add_row t
     [ "pid batch = 50"; "child fork+exit (pids from donated range)";
       Printf.sprintf "%.0f" batch50 ];

@@ -1,89 +1,51 @@
-(** Cache ablation — the fast-path caching layer measured end to end.
+(** Fast paths — the always-on caches, the vDSO page and the
+    submission ring, measured end to end (docs/PERF.md).
 
-    Three views, all from the same deterministic worlds:
+    Four views, all from deterministic worlds:
 
-    - every Table 6 row on Graphene and Graphene+RM with the caches on
-      (default config) vs off ({!Graphene_ipc.Config.uncached}, the
-      pre-caching behavior), with the off/on speedup;
-    - cold vs warm open/close latency (iteration 1 vs steady state);
+    - cold vs warm open/close latency (iteration 1, which fills every
+      cache, vs steady state);
     - per-cache hit/miss/eviction/invalidation counts and hit rates
       from an instrumented run (graphene.obs counters), including the
-      IPC owner-lease caches and send coalescing.
+      IPC owner-lease caches and send coalescing;
+    - streaming file reads through the io_uring-style submission ring
+      vs the equivalent per-call loop;
+    - a [gettimeofday] answered from the per-picoprocess vDSO state
+      page.
 
-    Self-checks ({!Harness.gate}): the warm open/close hit rate of
-    every fast-path cache is at least 90%, caches-on is no slower than
-    caches-off on any Table 6 row, the warm Graphene+RM open/close
-    speedup is at least 2x, and at least half the pid-lease lookups
-    hit. Linux/KVM rows are omitted by construction: the native
-    baseline charges fixed host costs and never consults the caches. *)
+    Self-checks ({!Harness.gate}): the warm Graphene+RM open/close is
+    at least 2x faster than the cold first iteration, the warm hit rate
+    of every fast-path cache is at least 90%, at least half the
+    pid-lease lookups hit, ring reads are at least 2x faster per
+    operation than the loop ([ring.batched_2x]), a fast-path
+    [gettimeofday] costs at most [Cost.vdso_call] plus the in-guest
+    dispatch ([ring.vdso_bound]), and a fixed-seed ring run reproduces
+    to the byte ([ring.deterministic]). Linux/KVM rows are omitted by
+    construction: the native baseline charges fixed host costs and
+    never consults the caches. *)
 
 module W = Graphene.World
 module K = Graphene_host.Kernel
+module T = Graphene_sim.Time
+module Cost = Graphene_sim.Cost
 module Obs = Graphene_obs.Obs
 module Stats = Graphene_sim.Stats
 module Table = Graphene_sim.Table
-module Config = Graphene_ipc.Config
 module B = Graphene_guest.Builder
 module Loader = Graphene_liblinux.Loader
+module Marks = Graphene_apps.Lmbench.Marks
 
 let record1 ~unit name v =
   let s = Stats.create () in
   Stats.add s v;
   Harness.record ~unit name s
 
-(* {1 On/off sweep over the Table 6 rows} *)
-
-let onoff ~full =
-  let t =
-    Table.create ~title:"Cache ablation: Table 6 rows, caches on vs off (us)"
-      ~headers:[ "Test"; "Graphene on"; "off"; "x"; "G+RM on"; "off"; "x" ]
-  in
-  let n = if full then 4 else 2 in
-  let slower = ref [] in
-  List.iter
-    (fun (name, exe, iters) ->
-      let cells =
-        List.concat_map
-          (fun stack ->
-            let sname = W.stack_name stack in
-            let on =
-              Harness.trials ~n
-                ~name:(Printf.sprintf "cache/%s/%s/on" name sname)
-                ~unit:"us" ~stack (Harness.lmbench_us ~exe ~iters)
-            in
-            let off =
-              Harness.trials ~n
-                ~name:(Printf.sprintf "cache/%s/%s/off" name sname)
-                ~unit:"us" ~cfg:(Config.uncached ()) ~stack
-                (Harness.lmbench_us ~exe ~iters)
-            in
-            let m_on = Stats.mean on and m_off = Stats.mean off in
-            (* same seeds on both sides, so the comparison needs only a
-               small tolerance for rows the caches cannot touch *)
-            if m_on > (m_off *. 1.02) +. 0.005 then
-              slower := Printf.sprintf "%s/%s %.3f vs %.3f us" name sname m_on m_off :: !slower;
-            if name = "open/close" && stack = W.Graphene_rm then
-              Harness.gate "cache.openclose_2x" (m_off >= 2.0 *. m_on)
-                (Printf.sprintf "G+RM %.2fx (on %.3f us, off %.3f us)" (m_off /. m_on) m_on
-                   m_off);
-            [ Printf.sprintf "%.2f" m_on;
-              Printf.sprintf "%.2f" m_off;
-              Printf.sprintf "%.2fx" (if m_on > 0. then m_off /. m_on else 0.) ])
-          [ W.Graphene; W.Graphene_rm ]
-      in
-      Table.add_row t (name :: cells))
-    (Table6.rows ~full);
-  Table.print t;
-  Harness.gate "cache.on_not_slower" (!slower = [])
-    (match !slower with
-    | [] -> "every Table 6 row"
-    | rows -> "slower: " ^ String.concat "; " (List.rev rows));
-  print_newline ()
-
 (* {1 Cold vs warm open/close}
 
    Iteration 1 pays the full walk + LSM check + libOS resolution and
-   fills every cache; steady state rides the fast path. *)
+   fills every cache; steady state rides the fast path. The cold row is
+   the number comparable to the paper's Table 6 open/close cell, whose
+   libOS had none of these caches. *)
 
 let cold_warm ~full =
   let iters = if full then 2000 else 300 in
@@ -107,11 +69,16 @@ let cold_warm ~full =
           ~unit:"us" ~stack
           (Harness.lmbench_us ~exe:"/bin/lat_openclose" ~iters)
       in
+      let m_cold = Stats.mean cold and m_warm = Stats.mean warm in
+      if stack = W.Graphene_rm then
+        Harness.gate "cache.openclose_2x" (m_cold >= 2.0 *. m_warm)
+          (Printf.sprintf "G+RM %.2fx (warm %.3f us, cold %.3f us)" (m_cold /. m_warm) m_warm
+             m_cold);
       Table.add_row t
         [ sname;
-          Printf.sprintf "%.2f" (Stats.mean cold);
-          Printf.sprintf "%.2f" (Stats.mean warm);
-          Printf.sprintf "%.2fx" (Stats.mean cold /. Stats.mean warm) ])
+          Printf.sprintf "%.2f" m_cold;
+          Printf.sprintf "%.2f" m_warm;
+          Printf.sprintf "%.2fx" (m_cold /. m_warm) ])
     [ W.Graphene; W.Graphene_rm ];
   Table.print t;
   print_newline ()
@@ -214,8 +181,120 @@ let lease_rates () =
   Harness.gate "cache.pid_lease_reuse" (pid_rate >= 0.5)
     (Printf.sprintf "%.1f%% hits (floor 50%%)" (pid_rate *. 100.))
 
+(* {1 vDSO page and submission ring}
+
+   Both read the same 8 KiB file in 64-byte chunks — 128 reads of
+   real data, no EOF tail. The loop issues one read syscall per
+   chunk; the ring issues 4 batches of 32 submission entries. MARK
+   cal/op pairs bracket matching empty loops so the interpreter's
+   loop overhead subtracts out; both per-op figures divide by the
+   128 effective reads. *)
+
+let chunk = 64
+let batch = 32
+let batches = 4
+let total_reads = batch * batches
+let file_bytes = chunk * total_reads
+
+let mark label =
+  B.(sys "print" [ str ("MARK " ^ label ^ " ") ^% str_of_int (sys "gettimeofday" []) ^% str "\n" ])
+
+let timed_loop ~iters ~body e =
+  B.(
+    seq
+      [ mark "cal0";
+        let_ "i" (int 0) (while_ (v "i" <% int iters) (seq [ set "i" (v "i" +% int 1) ]));
+        mark "cal1";
+        mark "op0";
+        let_ "i" (int 0) (while_ (v "i" <% int iters) (seq [ body; set "i" (v "i" +% int 1) ]));
+        mark "op1";
+        e ])
+
+let with_data_file e =
+  B.(
+    let_ "wf"
+      (sys "open" [ str "/tmp/ring.dat"; str "w" ])
+      (seq
+         [ sys "write" [ v "wf"; str (String.make file_bytes 'x') ];
+           sys "close" [ v "wf" ];
+           let_ "fd" (sys "open" [ str "/tmp/ring.dat"; str "r" ]) e ]))
+
+let stream_loop_prog =
+  B.(
+    prog ~name:"/bin/stream_loop"
+      (with_data_file
+         (timed_loop ~iters:total_reads
+            ~body:(sys "read" [ v "fd"; int chunk ])
+            (sys "exit" [ int 0 ]))))
+
+let stream_ring_prog =
+  B.(
+    let sqe = pair (str "read") (pair (v "fd") (int chunk)) in
+    prog ~name:"/bin/stream_ring"
+      (with_data_file
+         (timed_loop ~iters:batches
+            ~body:(sys "ring" [ list_ (List.init batch (fun _ -> sqe)) ])
+            (sys "exit" [ int 0 ]))))
+
+let lat_gettimeofday =
+  B.(
+    prog ~name:"/bin/lat_gtod"
+      (timed_loop ~iters:2000 ~body:(sys "gettimeofday" []) (sys "exit" [ int 0 ])))
+
+(* Run an installed program in a fresh Graphene world; return the
+   console and the final virtual clock. *)
+let run_installed ~seed (path, program) =
+  let w = W.create ~seed W.Graphene in
+  Loader.install (W.kernel w).K.fs ~path program;
+  let agg = Buffer.create 256 in
+  let p = W.start w ~console_hook:(Buffer.add_string agg) ~exe:path ~argv:[] () in
+  W.run w;
+  if not (W.exited p) then failwith ("bench cache: " ^ path ^ " never exited");
+  (Buffer.contents agg, W.now w)
+
+(* Per-operation latency (ns) from the MARK pairs: the op loop minus
+   the matching empty loop. *)
+let per_op ~iters console =
+  match
+    ( Marks.interval console ~start:"op0" ~stop:"op1" ~iters,
+      Marks.interval console ~start:"cal0" ~stop:"cal1" ~iters )
+  with
+  | Some op, Some cal -> op -. cal
+  | _ -> failwith "bench cache: missing MARK pairs"
+
+let ring_gates () =
+  (* batched streaming beats the per-call loop >= 2x *)
+  let loop_out, _ = run_installed ~seed:31 ("/bin/stream_loop", stream_loop_prog) in
+  let ring_out, _ = run_installed ~seed:31 ("/bin/stream_ring", stream_ring_prog) in
+  let loop_ns = per_op ~iters:total_reads loop_out
+  and ring_ns = per_op ~iters:total_reads ring_out in
+  let speedup = loop_ns /. ring_ns in
+  record1 ~unit:"ns" "ring.stream_per_op_loop" loop_ns;
+  record1 ~unit:"ns" "ring.stream_per_op_ring" ring_ns;
+  record1 ~unit:"" "ring.stream_speedup" speedup;
+  Printf.printf "\n  streaming 64B reads: %.1f ns/op per-call, %.1f ns/op ring (%.2fx)\n"
+    loop_ns ring_ns speedup;
+  Harness.gate "ring.batched_2x" (speedup >= 2.0) (Printf.sprintf "%.2fx" speedup);
+
+  (* the vDSO bound: gettimeofday on the fast path costs at most the
+     page read plus the in-guest syscall dispatch *)
+  let gtod_out, _ = run_installed ~seed:31 ("/bin/lat_gtod", lat_gettimeofday) in
+  let gtod_ns = per_op ~iters:2000 gtod_out in
+  (* Time.t is integer nanoseconds *)
+  let bound = float_of_int (T.add Cost.vdso_call Cost.libos_call) in
+  record1 ~unit:"ns" "ring.gettimeofday_ns" gtod_ns;
+  Printf.printf "  gettimeofday: %.1f ns/op (bound %.0f ns)\n" gtod_ns bound;
+  Harness.gate "ring.vdso_bound" (gtod_ns <= bound) (Printf.sprintf "%.1f ns" gtod_ns);
+
+  (* same-seed determinism of a ring run, to the byte *)
+  let probe () =
+    let out, now = run_installed ~seed:47 ("/bin/stream_ring", stream_ring_prog) in
+    out ^ "/" ^ string_of_int now
+  in
+  Harness.gate "ring.deterministic" (String.equal (probe ()) (probe ())) "same-seed ring run"
+
 let run ?(full = true) () =
-  onoff ~full;
   cold_warm ~full;
   path_cache_rates ~full;
-  lease_rates ()
+  lease_rates ();
+  ring_gates ()

@@ -131,7 +131,8 @@ let gate name passed detail =
 (* Run [f] against [n] fresh worlds of [stack]; collect its float
    result into stats. [name] also records the result in the metrics
    registry, suffixed by the stack. [cfg] overrides the coordination
-   config (the cache ablation runs the same trials uncached). *)
+   config (Table 5b′ runs the same trials without the semaphore fast
+   path). *)
 let trials ?(n = default_trials) ?name ?unit ?cfg ~stack f =
   let s = Stats.create () in
   for seed = 1 to n do

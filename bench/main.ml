@@ -3,7 +3,7 @@
 
     Usage:
       main.exe [all|quick|table1|table4|table5|table6|table7|table8|
-                figure4|figure5|ablation|critpath|chaos|cache|contend|web|ring]
+                figure4|figure5|ablation|critpath|chaos|cache|contend|web]
                [--baseline FILE]
       main.exe regress BASELINE FRESH
 
@@ -34,11 +34,11 @@ let experiments ~full =
     ("critpath", "Critical path: cross-picoprocess signal delivery", fun () ->
         Critpath_report.run ());
     ("chaos", "Chaos sweep: fault injection and leader recovery", fun () -> Chaos.run ~full ());
-    ("cache", "Cache ablation: fast-path caches on/off, hit rates", fun () -> Cache.run ~full ());
+    ("cache", "Fast paths: caches cold vs warm, hit rates, vDSO page, submission ring", fun () ->
+        Cache.run ~full ());
     ("contend", "Contention sweep: wait attribution, leader share, convoys", fun () ->
         Contend.run ~full ());
-    ("web", "Web farm: event-driven servers at production concurrency", fun () -> Web.run ~full ());
-    ("ring", "vDSO page + submission ring: fast-path gates", fun () -> Ring.run ~full ()) ]
+    ("web", "Web farm: event-driven servers at production concurrency", fun () -> Web.run ~full ()) ]
 
 (* After metrics land in BENCH_<mode>.json, compare them with the
    requested baseline; a failed self-check or any difference fails
@@ -89,5 +89,5 @@ let () =
       | None ->
         prerr_endline
           ("unknown experiment " ^ name
-         ^ " (try: all quick table1 table4 table5 table6 table7 table8 figure4 figure5 ablation critpath chaos cache contend web ring)");
+         ^ " (try: all quick table1 table4 table5 table6 table7 table8 figure4 figure5 ablation critpath chaos cache contend web)");
         exit 2))

@@ -139,9 +139,7 @@ let run ?(full = true) () =
       ("off",
        (* only the fast path off — the other caches stay, so the delta
           is the fast path's alone *)
-       let c = Graphene_ipc.Config.default () in
-       c.Graphene_ipc.Config.sem_fastpath <- false;
-       c) ];
+       { (Graphene_ipc.Config.default ()) with Graphene_ipc.Config.sem_fastpath = false }) ];
   Table.print t2a;
   Harness.paper_note "paper apache gap: -30%% — fast path on should land near it, off reverts to the RPC-bound number";
   print_newline ();

@@ -50,9 +50,9 @@ let create ?(cores = 4) ?(seed = 42) ?(noise = 0.0) ?(cfg = Ipc_config.default (
   | Some spec -> K.install_faults kernel (Graphene_sim.Fault.create ~seed spec)
   | None -> ());
   Install.all kernel.K.fs;
-  (* fast-path caches come up from the run's config, after install-time
-     churn, so cache-off runs reproduce the pre-cache walks exactly *)
-  Graphene_host.Vfs.configure_dcache kernel.K.fs ~enabled:cfg.Ipc_config.dcache
+  (* the dcache comes up after install-time churn, so the first guest
+     walk of every path misses *)
+  Graphene_host.Vfs.configure_dcache kernel.K.fs ~enabled:true
     ~capacity:Graphene_host.Vfs.dcache_capacity;
   let native =
     match stack with
@@ -61,9 +61,6 @@ let create ?(cores = 4) ?(seed = 42) ?(noise = 0.0) ?(cfg = Ipc_config.default (
     | Graphene | Graphene_rm -> None
   in
   let monitor = match stack with Graphene_rm -> Some (Monitor.install kernel) | _ -> None in
-  Option.iter
-    (fun mon -> Monitor.configure_cache mon ~enabled:cfg.Ipc_config.refmon_cache)
-    monitor;
   { kernel; stack; native; monitor; cfg }
 
 let kernel t = t.kernel

@@ -6,11 +6,11 @@
     Resident-set and proportional-set sizes drive the Figure 4 memory
     footprint experiment.
 
-    Payloads are demand-zero: a frame's bytes start as the shared empty
-    [zero_payload], meaning "all zeros", and a real page is allocated
-    only on the first [write_bytes] into it. Accounting counts frames,
-    never payloads, so this saves host memory without moving a virtual
-    number. *)
+    Payloads are demand-zero: a frame's bytes start as the shared
+    [zero_payload], and a write that fills a whole page with one byte
+    leaves it a shared payload of that byte, so only other writes
+    allocate a private page. Accounting counts frames, never payloads,
+    so this saves host memory without moving a virtual number. *)
 
 let page_size = Graphene_sim.Cost.page_size
 
@@ -30,11 +30,22 @@ type kind =
 
 type frame = { fid : int; mutable refcount : int; mutable data : bytes }
 
-(* The "all zeros" payload, compared by physical equality. *)
-let zero_payload = Bytes.empty
+(* The shared payloads: for each byte value, one page of only that
+   byte, made on first use and never written. A frame holding one owns
+   no bytes, so a page written whole with one byte (zeros, or a guest's
+   working set of repeated bytes) needs no page of its own. *)
+let fill_pages = Array.make 256 Bytes.empty
 
-(* Source for reads of unmaterialised frames; never written. *)
-let zero_page = Bytes.make page_size '\000'
+let fill_page c =
+  let i = Char.code c in
+  if Bytes.length fill_pages.(i) = 0 then fill_pages.(i) <- Bytes.make page_size c;
+  fill_pages.(i)
+
+let zero_payload = fill_page '\000'
+
+(* Every payload is a whole page, so its first byte names the one
+   shared page it could be. *)
+let shared data = data == fill_pages.(Char.code (Bytes.unsafe_get data 0))
 
 type region = {
   base : int;
@@ -118,7 +129,7 @@ let touch_in t r idx addr ~write =
   | Some frame ->
     if write && frame.refcount > 1 then begin
       let copy = new_frame t.alloc in
-      if frame.data != zero_payload then copy.data <- Bytes.copy frame.data;
+      copy.data <- (if shared frame.data then frame.data else Bytes.copy frame.data);
       drop_frame t.alloc frame;
       r.frames.(idx) <- Some copy;
       t.cow_faults <- t.cow_faults + 1;
@@ -143,9 +154,20 @@ let resident t addr =
   | None -> false
   | Some r -> r.frames.((addr - r.base) / page_size) <> None
 
+(* Is [s] one byte repeated over the page's worth of bytes from [off]?
+   Compared eight bytes at a time. *)
+let uniform s off =
+  let w = Int64.mul 0x0101010101010101L (Int64.of_int (Char.code (String.unsafe_get s off))) in
+  let i = ref 0 in
+  while !i < page_size && Int64.equal (String.get_int64_ne s (off + !i)) w do
+    i := !i + 8
+  done;
+  !i = page_size
+
 (* Byte-granularity access spanning pages; returns the number of COW
-   copies performed so the caller can charge fault costs. The first
-   write into a frame materialises its payload. *)
+   copies performed so the caller can charge fault costs. A write that
+   fills a whole page with one byte leaves it a shared payload; any
+   other write gives a shared frame a private copy first. *)
 let write_bytes t addr s =
   let n = String.length s in
   let cow_before = t.cow_faults in
@@ -155,8 +177,11 @@ let write_bytes t addr s =
       let frame = touched_frame t a ~write:true in
       let page_off = a mod page_size in
       let take = Stdlib.min (n - off) (page_size - page_off) in
-      if frame.data == zero_payload then frame.data <- Bytes.make page_size '\000';
-      Bytes.blit_string s off frame.data page_off take;
+      if take = page_size && uniform s off then frame.data <- fill_page s.[off]
+      else begin
+        if shared frame.data then frame.data <- Bytes.copy frame.data;
+        Bytes.blit_string s off frame.data page_off take
+      end;
       loop (off + take)
     end
   in
@@ -171,8 +196,7 @@ let read_bytes t addr n =
       let frame = touched_frame t a ~write:false in
       let page_off = a mod page_size in
       let take = Stdlib.min (n - off) (page_size - page_off) in
-      let src = if frame.data == zero_payload then zero_page else frame.data in
-      Bytes.blit src page_off buf off take;
+      Bytes.blit frame.data page_off buf off take;
       loop (off + take)
     end
   in

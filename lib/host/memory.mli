@@ -7,10 +7,12 @@
     proportional-set accounting drive the Figure 4 experiment.
 
     Frame payloads are demand-zero. A frame starts with no bytes behind
-    it, which reads as a page of zeros; the first {!write_bytes} into a
-    frame allocates its 4 KiB payload, and a COW break copies only a
-    payload that exists. Every accounting function counts frames, not
-    payloads, so the representation never shows in a reported number. *)
+    it, which reads as a page of zeros. A {!write_bytes} that fills a
+    whole page with one byte value points it at a payload shared by
+    every such page, so only other writes allocate a 4 KiB payload, and
+    a COW break copies only a payload of the frame's own.
+    Every accounting function counts frames, not payloads, so the
+    representation never shows in a reported number. *)
 
 val page_size : int
 

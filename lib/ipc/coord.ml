@@ -54,7 +54,7 @@ type side = {
 type t = {
   sysv : side;
   pid : side;
-  ttl : Time.t;  (** lease validity; 0 = invalidation-only *)
+  ttl : Time.t;  (** lease validity *)
   mutable epoch : int;
   mutable observers : (event -> unit) list;  (** registration order *)
 }
@@ -72,7 +72,7 @@ let epoch t = t.epoch
 
 (* A lease expires strictly after [ttl]: a lookup at exactly
    cached_at + ttl still hits. *)
-let live t ~now l = t.ttl <= Time.zero || Time.diff now l.cached_at <= t.ttl
+let live t ~now l = Time.diff now l.cached_at <= t.ttl
 
 (* The live lease on [key], without reaping or reporting anything. *)
 let live_owner t s ~now key =
@@ -255,10 +255,7 @@ let held_count t ~ns = Hashtbl.length (side t ns).held
 let entries t ~now ~ns =
   Fifo_cache.fold
     (fun k l acc ->
-      let remaining =
-        if t.ttl > Time.zero then max 0 (t.ttl - Time.diff now l.cached_at) else -1
-      in
-      (k, l.owner, remaining) :: acc)
+      (k, l.owner, max 0 (t.ttl - Time.diff now l.cached_at)) :: acc)
     (side t ns).leased []
   |> List.sort compare
 

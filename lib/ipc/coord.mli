@@ -79,8 +79,8 @@ type t
 
 val create : capacity:int -> ttl:Time.t -> t
 (** One table with a {!Leased} cache per namespace ([capacity]
-    entries, [ttl] validity; 0 = invalidation-only) plus unbounded
-    authoritative {!Held} state. Starts at epoch 0. *)
+    entries, [ttl] validity) plus unbounded authoritative {!Held}
+    state. Starts at epoch 0. *)
 
 val observe : t -> (event -> unit) -> unit
 (** Register an observer for every state transition. This is the only
@@ -174,7 +174,7 @@ val held_count : t -> ns:namespace -> int
 
 val entries : t -> now:Time.t -> ns:namespace -> (int * string * int) list
 (** Lease-table snapshot for [graphene top]: [(key, owner, remaining
-    ns; -1 = no expiry)], ascending by key. Pure observation. *)
+    ns)], ascending by key. Pure observation. *)
 
 val export : t -> ns:namespace -> (int * string) list
 (** Leased entries for fork inheritance (order unspecified). Held

@@ -62,6 +62,11 @@ let moved_retry_delay = Time.us 60.
    lands several notes per window; well under the RPC timeout *)
 let coalesce_window = Time.us 5.0
 
+(* validity of a cached owner/pid resolution (a lease) from the moment
+   it is cached, and the bound on each lease cache (oldest evicts) *)
+let lease_ttl = Time.ms 50.
+let lease_capacity = 512
+
 type callbacks = {
   deliver_signal : signum:int -> from_pid:int -> to_pid:int -> bool;
       (** [false] if the target PID is not in this thread group *)
@@ -918,7 +923,7 @@ and arm_timeout t ~id ~req ~resend =
    sends never coalesce: Table 7 measures their one-way latency. *)
 and oneway t ~addr n =
   match n with
-  | (Wire.Sem_release_async _ | Wire.Exit_notify _) when t.cfg.Config.coalesce ->
+  | Wire.Sem_release_async _ | Wire.Exit_notify _ ->
     (match Hashtbl.find_opt t.coalesce_buf addr with
     | Some buf ->
       buf := n :: !buf;
@@ -1238,8 +1243,7 @@ let snapshot t =
     List.iter
       (fun (k, v, remaining) ->
         Buffer.add_string b
-          (Printf.sprintf "    %d -> %s  ttl %s\n" k v
-             (if remaining < 0 then "inf" else Printf.sprintf "%dns" remaining)))
+          (Printf.sprintf "    %d -> %s  ttl %dns\n" k v remaining))
       (Coord.entries t.coord ~now ~ns)
   in
   lease_table "owner" Coord.Sysv;
@@ -1297,8 +1301,7 @@ let create ~pal ~cfg ~callbacks ~my_addr ~leader_addr ~make_leader ~first_pid =
       leader = (if make_leader then Some (fresh_leader ~first_pid) else None);
       pid_pool = [];
       streams = Hashtbl.create 8;
-      coord =
-        Coord.create ~capacity:cfg.Config.lease_capacity ~ttl:cfg.Config.lease_ttl;
+      coord = Coord.create ~capacity:lease_capacity ~ttl:lease_ttl;
       moved_hint = None;
       coalesce_buf = Hashtbl.create 4;
       pending = Hashtbl.create 8;

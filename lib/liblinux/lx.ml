@@ -119,7 +119,7 @@ type own = {
   path_cache : (string, unit) Fifo_cache.t;
       (** canonical paths this libOS resolved before: a warm repeat
           open/stat reuses the cached dentry + decision and skips the
-          duplicated path resolution (gated by [cfg.handle_cache]) *)
+          duplicated path resolution *)
 }
 
 type t = (fd_entry, own) Posix.t
@@ -237,7 +237,9 @@ let ops =
    a path resolved before (and not invalidated since) charges the fast
    cost, a cold one charges the full duplicated resolution and fills
    the cache. Only successful resolutions fill — there is no handle to
-   reuse for a path that failed to open. *)
+   reuse for a path that failed to open. unlink and rmdir drop their
+   own path; a rename drops both names and everything under them, as
+   the host dcache does. *)
 
 let lx_count lx name =
   let tracer = (kernel lx).K.tracer in
@@ -246,8 +248,7 @@ let lx_count lx name =
 let handle_cache_capacity = 256
 
 let path_hit_cost lx path =
-  if not lx.own.cfg.Ipc_config.handle_cache then Cost.libos_path_resolution
-  else if Fifo_cache.mem lx.own.path_cache path then begin
+  if Fifo_cache.mem lx.own.path_cache path then begin
     lx_count lx "liblinux.handle_cache.hit";
     Cost.libos_path_fast
   end
@@ -260,6 +261,15 @@ let path_hit_cost lx path =
 
 let path_cache_invalidate lx path =
   if Fifo_cache.remove lx.own.path_cache path then lx_count lx "liblinux.handle_cache.invalidate"
+
+let path_cache_invalidate_renamed lx ~src ~dst =
+  let under root =
+    let prefix = if root = "/" then "/" else root ^ "/" in
+    fun k -> k = root || String.starts_with ~prefix k
+  in
+  let in_src = under src and in_dst = under dst in
+  Fifo_cache.drop_matching lx.own.path_cache (fun k () -> in_src k || in_dst k)
+  |> List.iter (fun _ -> lx_count lx "liblinux.handle_cache.invalidate")
 
 (* {1 vDSO page}
 
@@ -275,26 +285,22 @@ let vdso_uid = 1000
 (* (Re)publish this picoprocess's state page: at boot, after restore,
    after a sandbox split, and lazily after any fast-path miss. *)
 let vdso_publish lx =
-  if lx.own.cfg.Ipc_config.vdso then begin
-    lx_count lx "liblinux.vdso.publish";
-    ignore
-      (K.vdso_page_publish (kernel lx) ~host_pid:(pico lx).K.pid ~pid:lx.pid
-         ~ppid:lx.ppid ~uid:vdso_uid ~sandbox:(pico lx).K.sandbox)
-  end
+  lx_count lx "liblinux.vdso.publish";
+  ignore
+    (K.vdso_page_publish (kernel lx) ~host_pid:(pico lx).K.pid ~pid:lx.pid ~ppid:lx.ppid
+       ~uid:vdso_uid ~sandbox:(pico lx).K.sandbox)
 
 (* Fast-path lookup: the page must be valid, ours (same guest pid) and
    of this sandbox; anything else is a miss and the caller falls back
    to libOS state or the PAL. *)
 let vdso_page lx =
-  if not lx.own.cfg.Ipc_config.vdso then None
-  else
-    match K.vdso_page_lookup (kernel lx) ~host_pid:(pico lx).K.pid with
-    | Some p when p.K.vd_pid = lx.pid && p.K.vd_sandbox = (pico lx).K.sandbox ->
-      lx_count lx "liblinux.vdso.hit";
-      Some p
-    | _ ->
-      lx_count lx "liblinux.vdso.miss";
-      None
+  match K.vdso_page_lookup (kernel lx) ~host_pid:(pico lx).K.pid with
+  | Some p when p.K.vd_pid = lx.pid && p.K.vd_sandbox = (pico lx).K.sandbox ->
+    lx_count lx "liblinux.vdso.hit";
+    Some p
+  | _ ->
+    lx_count lx "liblinux.vdso.miss";
+    None
 
 (* Transient coordination failures — a timed-out RPC, a dead leader
    caught mid-election, an ownership move that never settled — get a
@@ -505,8 +511,7 @@ and dispatch_inner lx th name args =
     let src = Posix.abspath lx (str_arg 0) and dst = Posix.abspath lx (str_arg 1) in
     Pal.stream_change_name lx.own.pal ~src:("file:" ^ src) ~dst:("file:" ^ dst) (function
       | Ok () ->
-        path_cache_invalidate lx src;
-        path_cache_invalidate lx dst;
+        path_cache_invalidate_renamed lx ~src ~dst;
         finish lx th ~cost:Cost.libos_path_resolution (vint 0)
       | Error e -> fail lx th e)
   | "mkdir" ->
@@ -962,15 +967,13 @@ and do_write lx th fd data =
 (* Guest ABI: [ring entries] where each entry is ("read", (fd, n)) or
    ("write", (fd, data)). Completes with the per-op results in
    submission order — data string, bytes written, or [-errno] — and an
-   individual failure never aborts the batch. With [cfg.ring] on, the
-   PAL-backed entries go through the submission ring: one boundary
-   crossing for the whole batch, and a stream read that would block
-   completes EAGAIN instead of parking the drain. Off, every entry
-   runs as its own PAL call with identical results (a would-block
-   stream read still completes EAGAIN, for parity). Batched file
-   entries are offset-projected like preadv/pwritev — entry k's offset
-   assumes the earlier entries transfer fully — and file positions
-   advance by what actually transferred. *)
+   individual failure never aborts the batch. The PAL-backed entries
+   go through the submission ring: one boundary crossing for the whole
+   batch, and a stream read that would block completes EAGAIN instead
+   of parking the drain. Batched file entries are offset-projected
+   like preadv/pwritev — entry k's offset assumes the earlier entries
+   transfer fully — and file positions advance by what actually
+   transferred. *)
 and do_ring lx th entries =
   let proj : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let projected fd pos len =
@@ -1038,53 +1041,23 @@ and do_ring lx th entries =
   lx_count lx "liblinux.ring.batches";
   if Obs.enabled (kernel lx).K.tracer then
     Obs.count (kernel lx).K.tracer ~n:(List.length ops) "liblinux.ring.ops";
-  if lx.own.cfg.Ipc_config.ring && ops <> [] then
-    Pal.ring_submit lx.own.pal ops (function
-      | Error e -> fail lx th e
-      | Ok cqes ->
-        let rec zip plan cqes acc cost =
-          match (plan, cqes) with
-          | [], _ -> finish lx th ~cost (Ast.Vlist (List.rev acc))
-          | `Imm v :: rest, cq -> zip rest cq (v :: acc) cost
-          | `Op (_, fd, ki) :: rest, cqe :: cq ->
-            let v, c = apply fd ki cqe in
-            zip rest cq (v :: acc) (Time.add cost c)
-          | `Op _ :: _, [] ->
-            (* a complete drain answers every submitted entry *)
-            fail lx th E.EINVAL
-        in
-        zip plan cqes [] Time.zero)
-  else begin
-    if ops <> [] then lx_count lx "liblinux.ring.fallback";
-    (* knob off: the same batch as individual PAL calls, same results *)
-    let rec step plan acc cost =
-      match plan with
-      | [] -> finish lx th ~cost (Ast.Vlist (List.rev acc))
-      | `Imm v :: rest -> step rest (v :: acc) cost
-      | `Op (sqe, fd, ki) :: rest -> (
-        match sqe with
-        | Pal.Sq_read { handle; off; max } ->
-          let continue_with = function
-            | Ok data ->
-              let v, c = apply fd ki (Pal.Cq_data data) in
-              step rest (v :: acc) (Time.add cost c)
-            | Error e -> step rest (err e :: acc) cost
-          in
-          (match handle.K.obj with
-          | K.Hstream ep when Stream.available ep = 0 && not (Stream.at_eof ep) ->
-            (* the ring answers EAGAIN for a would-block stream read;
-               keep the off-path batch from parking mid-drain too *)
-            step rest (err E.EAGAIN :: acc) cost
-          | _ -> Pal.stream_read lx.own.pal handle ~off ~max continue_with)
-        | Pal.Sq_write { handle; off; data } ->
-          Pal.stream_write lx.own.pal handle ~off data (function
-            | Ok n ->
-              let v, c = apply fd ki (Pal.Cq_len n) in
-              step rest (v :: acc) (Time.add cost c)
-            | Error e -> step rest (err e :: acc) cost))
-    in
-    step plan [] Time.zero
-  end
+  (* the PAL answers an empty submission at once, so a batch whose
+     entries all completed above never crosses *)
+  Pal.ring_submit lx.own.pal ops (function
+    | Error e -> fail lx th e
+    | Ok cqes ->
+      let rec zip plan cqes acc cost =
+        match (plan, cqes) with
+        | [], _ -> finish lx th ~cost (Ast.Vlist (List.rev acc))
+        | `Imm v :: rest, cq -> zip rest cq (v :: acc) cost
+        | `Op (_, fd, ki) :: rest, cqe :: cq ->
+          let v, c = apply fd ki cqe in
+          zip rest cq (v :: acc) (Time.add cost c)
+        | `Op _ :: _, [] ->
+          (* a complete drain answers every submitted entry *)
+          fail lx th E.EINVAL
+      in
+      zip plan cqes [] Time.zero)
 
 (* {2 select} *)
 
@@ -1284,7 +1257,7 @@ and do_fork lx th =
             else
               Pal.process_create lx.own.pal ~exe:lx.exe ~sandboxed:false
                 ~boot:(fun child_pico child_ep ->
-                  restore_in_child ~kern:(kernel lx) ~cfg:(Ipc_config.copy lx.own.cfg)
+                  restore_in_child ~kern:(kernel lx) ~cfg:lx.own.cfg
                     ~console_hook:lx.on_console child_pico child_ep)
                 (function
                 | Error e -> fail lx th e

@@ -37,7 +37,6 @@ type t = {
   mutable violations : violation list;
   own_filter : Graphene_bpf.Prog.t;
   mutable launches : int;
-  mutable cache_enabled : bool;
   decisions : (int * char * string, int * string) Fifo_cache.t;
   epochs : (int, int) Hashtbl.t;  (** sandbox -> manifest epoch *)
 }
@@ -61,10 +60,6 @@ let sandbox_epoch t ~sandbox = epoch_of t sandbox
 let bump_epoch t sandbox =
   Hashtbl.replace t.epochs sandbox (epoch_of t sandbox + 1);
   cache_count t "refmon.cache.invalidate"
-
-let configure_cache t ~enabled =
-  t.cache_enabled <- enabled;
-  if not enabled then Fifo_cache.clear t.decisions
 
 let access_char = function `Read -> 'r' | `Write -> 'w' | `Exec -> 'x'
 
@@ -119,35 +114,28 @@ let check_path_rule t pico path access =
     ignore (deny t pico (Printf.sprintf "path %s (%c)" path (access_char access)));
     None
 
-let check_path_slow t pico path access = check_path_rule t pico path access <> None
-
 let lsm_of t =
   { K.check_path =
       (fun pico path access ->
-        if not t.cache_enabled then check_path_slow t pico path access
-        else begin
-          let sandbox = pico.K.sandbox in
-          let key = (sandbox, access_char access, path) in
-          let epoch = epoch_of t sandbox in
-          match Fifo_cache.find t.decisions key with
-          | Some (e, rule) when e = epoch ->
-            cache_count t "refmon.cache.hit";
-            if auditing t then
-              audit_allow t pico ~target:(path_target path access) ~rule ~cached:true;
+        let sandbox = pico.K.sandbox in
+        let key = (sandbox, access_char access, path) in
+        let epoch = epoch_of t sandbox in
+        match Fifo_cache.find t.decisions key with
+        | Some (e, rule) when e = epoch ->
+          cache_count t "refmon.cache.hit";
+          if auditing t then
+            audit_allow t pico ~target:(path_target path access) ~rule ~cached:true;
+          true
+        | _ -> (
+          cache_count t "refmon.cache.miss";
+          match check_path_rule t pico path access with
+          | Some rule ->
+            if Fifo_cache.add t.decisions key (epoch, rule) <> None then
+              cache_count t "refmon.cache.evict";
             true
-          | _ -> (
-            cache_count t "refmon.cache.miss";
-            match check_path_rule t pico path access with
-            | Some rule ->
-              if Fifo_cache.add t.decisions key (epoch, rule) <> None then
-                cache_count t "refmon.cache.evict";
-              true
-            | None -> false)
-        end);
+          | None -> false));
     probe_path =
       (fun pico path access ->
-        t.cache_enabled
-        &&
         match Fifo_cache.find t.decisions (pico.K.sandbox, access_char access, path) with
         | Some (e, _) -> e = epoch_of t pico.K.sandbox
         | _ -> false);
@@ -198,7 +186,6 @@ let install kernel =
       violations = [];
       own_filter = Seccomp.monitor_filter ();
       launches = 0;
-      cache_enabled = false;
       decisions = Fifo_cache.create ~capacity:cache_capacity;
       epochs = Hashtbl.create 8 }
   in

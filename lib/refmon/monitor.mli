@@ -28,12 +28,9 @@ val install : K.t -> t
     sandbox's manifest view (launch, {!bind_sandbox}, a sandbox split)
     bumps that sandbox's epoch and makes its entries stale at once.
     Denials are never cached — every one must reach the audit log.
-    At most 512 entries; the oldest evicts first. Off until configured
+    At most 512 entries; the oldest evicts first. On from {!install}
     (docs/PERF.md). Hits, misses, evictions and epoch bumps count as
     the kernel tracer's [refmon.cache.*] counters. *)
-
-val configure_cache : t -> enabled:bool -> unit
-(** Enable or disable the decision cache; disabling flushes. *)
 
 val sandbox_epoch : t -> sandbox:int -> int
 (** The sandbox's current manifest epoch (0 until first bound). *)

@@ -179,7 +179,6 @@ let monitored_kernel () =
   let k = K.create () in
   Audit.enable k.K.audit;
   let mon = Monitor.install k in
-  Monitor.configure_cache mon ~enabled:true;
   let sbx = K.fresh_sandbox k in
   let pico = K.spawn k ~sandbox:sbx ~exe:"/bin/x" () in
   Monitor.bind_sandbox mon ~sandbox:sbx ~manifest:(manifest_of "fs.allow r /lib\n");

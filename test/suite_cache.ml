@@ -2,15 +2,14 @@
     share against a list model of its eviction rule, coherence of the
     VFS dcache under namespace mutations, epoch-based flushing of
     reference-monitor decisions, lease expiry through the coordination
-    table, determinism of the cache counters, and the cache-off
-    ablation reproducing the pre-caching behavior. *)
+    table, determinism of the cache counters, and coherence of the
+    libOS handle cache under a directory rename. *)
 
 open Util
 module Vfs = Graphene_host.Vfs
 module Manifest = Graphene_refmon.Manifest
 module Monitor = Graphene_refmon.Monitor
 module Obs = Graphene_obs.Obs
-module Config = Graphene_ipc.Config
 module Coord = Graphene_ipc.Coord
 module Fifo_cache = Graphene_sim.Fifo_cache
 
@@ -208,7 +207,6 @@ let test_refmon_epoch_flush () =
   let k = K.create () in
   Obs.enable k.K.tracer;
   let mon = Monitor.install k in
-  Monitor.configure_cache mon ~enabled:true;
   let sbx = K.fresh_sandbox k in
   let pico = K.spawn k ~sandbox:sbx ~exe:"/bin/x" () in
   Monitor.bind_sandbox mon ~sandbox:sbx ~manifest:(manifest_of "fs.allow r /lib\n");
@@ -227,7 +225,6 @@ let test_refmon_epoch_flush () =
 let test_refmon_denials_uncached () =
   let k = K.create () in
   let mon = Monitor.install k in
-  Monitor.configure_cache mon ~enabled:true;
   let sbx = K.fresh_sandbox k in
   let pico = K.spawn k ~sandbox:sbx ~exe:"/bin/x" () in
   Monitor.bind_sandbox mon ~sandbox:sbx ~manifest:(manifest_of "fs.allow r /lib\n");
@@ -312,7 +309,7 @@ let test_lease_stall_accounting () =
   check_int "stalls observed" 2 (List.length stalls);
   check_bool "stall time summed" true (List.fold_left T.add T.zero stalls = T.us 75.)
 
-(* {1 Determinism and the cache-off ablation} *)
+(* {1 Determinism} *)
 
 let cache_counters =
   [ "vfs.dcache.hit"; "vfs.dcache.neg_hit"; "vfs.dcache.miss"; "vfs.dcache.evict";
@@ -321,9 +318,9 @@ let cache_counters =
     "ipc.lease.owner.miss"; "ipc.lease.pid.hit"; "ipc.lease.pid.miss"; "ipc.coalesced";
     "ipc.batches" ]
 
-let instrumented ?cfg ~exe ~argv () =
+let instrumented ~exe ~argv () =
   let r =
-    run_on ~stack:W.Graphene_rm ~seed:11 ?cfg
+    run_on ~stack:W.Graphene_rm ~seed:11
       ~setup:(fun w -> Obs.enable (W.tracer w))
       ~exe ~argv ()
   in
@@ -337,30 +334,39 @@ let test_same_seed_same_counters () =
   in
   check_bool "identical console, clock and cache counters" true (go () = go ())
 
-let test_cache_off_is_inert () =
-  let r, counters =
-    instrumented ~cfg:(Config.uncached ()) ~exe:"/bin/lat_openclose" ~argv:[ "50" ] ()
-  in
-  expect_exit r;
-  (* pre-PR behavior: with the path caches disabled nothing fills,
-     hits, evicts or invalidates — their counters stay silent. The
-     lease machinery stays live under [uncached] (its probe cost is
-     charged symmetrically in the ablation), so only exempt it. *)
-  List.iter2
-    (fun name v ->
-      if v <> 0 && not (Util.contains name "ipc.lease") then
-        Alcotest.failf "cache counter %s = %d with caches off" name v)
-    cache_counters counters
+(* {1 libOS handle cache under a directory rename}
 
-let test_caches_speed_up_openclose () =
-  let finish ?cfg () =
-    let r, _ = instrumented ?cfg ~exe:"/bin/lat_openclose" ~argv:[ "200" ] () in
-    expect_exit r;
-    W.now r.w
-  in
-  let t_on = finish () in
-  let t_off = finish ~cfg:(Config.uncached ()) () in
-  check_bool "caches-on finishes sooner" true (T.diff t_off t_on > 0)
+   A rename moves every path under the old name, so the libOS must
+   forget them all, as the host dcache does: a file created later at a
+   reused path was never resolved by this libOS and pays the full
+   resolution. *)
+
+let rename_prog =
+  B.(
+    let reopen mode = sys "close" [ sys "open" [ str "/tmp/d/f"; str mode ] ] in
+    prog ~name:"/bin/renamedir"
+      (seq
+         [ sys "mkdir" [ str "/tmp/d" ];
+           reopen "w";
+           reopen "r";
+           sys "rename" [ str "/tmp/d"; str "/tmp/e" ];
+           sys "mkdir" [ str "/tmp/d" ];
+           reopen "w";
+           sys "exit" [ int 0 ] ]))
+
+let test_handle_cache_rename () =
+  List.iter
+    (fun stack ->
+      let r =
+        run_prog ~stack ~seed:11 ~setup:(fun w -> Obs.enable (W.tracer w)) rename_prog
+      in
+      expect_exit r;
+      let c name = Obs.counter_value (W.tracer r.w) ("liblinux.handle_cache." ^ name) in
+      let label what = W.stack_name stack ^ ": " ^ what in
+      check_int (label "only the reopen hits") 1 (c "hit");
+      check_int (label "the reused path misses") 2 (c "miss");
+      check_int (label "the rename dropped the old file") 1 (c "invalidate"))
+    [ W.Graphene; W.Graphene_rm ]
 
 let suite =
   List.map QCheck_alcotest.to_alcotest [ fifo_matches_model; fifo_matches_push_then_pop ]
@@ -376,5 +382,4 @@ let suite =
     case "lease: peek is pure" test_lease_peek_is_pure;
     case "lease: stall accounting" test_lease_stall_accounting;
     case "same seed, same cache counters" test_same_seed_same_counters;
-    case "cache-off runs leave the counters silent" test_cache_off_is_inert;
-    case "caches shorten the open/close run" test_caches_speed_up_openclose ]
+    case "handle cache: a directory rename drops the paths under it" test_handle_cache_rename ]

@@ -277,10 +277,9 @@ let sysv_prop =
    cannot be compared — but the *shape* must agree: non-negative
    readings, monotone across a sleep, [time]/[gettimeofday]/
    [clock_gettime] mutually consistent, and a negative [nanosleep]
-   answering -EINVAL everywhere. On Graphene the same shape must hold
-   both through the vDSO page and with it switched off — a stale time
-   base left behind by fork or checkpoint-restore would break
-   monotonicity and fail this test. *)
+   answering -EINVAL everywhere. On Graphene the calls are answered
+   from the vDSO page — a stale time base left behind by fork or
+   checkpoint-restore would break monotonicity and fail this test. *)
 
 let time_prog =
   let open B in
@@ -307,19 +306,15 @@ let time_prog =
 let time_expected = "nonneg=ok;agree=ok;einval=ok;mono=ok;child-mono=ok;"
 
 let time_shape_case =
-  case "time syscalls: same shape on every stack, vDSO on and off" (fun () ->
-      let run ?cfg stack =
-        let r = run_prog ?cfg ~stack ~seed:7 time_prog in
+  case "time syscalls: same shape on every stack, through the vDSO page" (fun () ->
+      let run stack =
+        let r = run_prog ~stack ~seed:7 time_prog in
         check_bool "exited" true (W.exited r.p);
         r.out ()
       in
       check_str "native linux" time_expected (run W.Linux);
       check_str "kvm" time_expected (run W.Kvm);
-      check_str "graphene (vDSO+ring on)" time_expected (run W.Graphene);
-      let off = Graphene_ipc.Config.default () in
-      off.Graphene_ipc.Config.vdso <- false;
-      off.Graphene_ipc.Config.ring <- false;
-      check_str "graphene (vDSO+ring off)" time_expected (run ~cfg:off W.Graphene);
+      check_str "graphene" time_expected (run W.Graphene);
       check_str "graphene-rm" time_expected (run W.Graphene_rm))
 
 let suite =

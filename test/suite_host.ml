@@ -337,7 +337,33 @@ let demand_zero_tests =
         check_bool
           (Printf.sprintf "%.0f bytes allocated < 16 pages" allocated)
           true
-          (allocated < float_of_int (16 * page))) ]
+          (allocated < float_of_int (16 * page)));
+    case "pages filled with one byte share a payload and stay isolated" (fun () ->
+        let alloc, a = fresh_mem () in
+        let b = Memory.create alloc in
+        ignore (Memory.map a ~base:0x10000 ~npages:64 ~perm:Memory.rw ~kind:Memory.Heap);
+        let ws = String.make (64 * page) 'w' in
+        let before = Gc.allocated_bytes () in
+        ignore (Memory.write_bytes a 0x10000 ws);
+        let allocated = Gc.allocated_bytes () -. before in
+        check_bool
+          (Printf.sprintf "%.0f bytes allocated < 4 pages" allocated)
+          true
+          (allocated < float_of_int (4 * page));
+        check_str "filled pages read back" ws (Memory.read_bytes a 0x10000 (64 * page));
+        ignore (Memory.share_all ~src:a ~dst:b);
+        check_int "a partial write breaks the share" 1 (Memory.write_bytes b 0x10010 "child");
+        check_str "child sees its write" ("w" ^ "child" ^ "w") (Memory.read_bytes b 0x1000f 7);
+        check_str "parent keeps its fill" ws (Memory.read_bytes a 0x10000 (64 * page));
+        (* a page that differs only in its last byte is not one fill *)
+        let almost = String.make (page - 1) 'w' ^ "x" in
+        ignore (Memory.write_bytes b (0x10000 + page) almost);
+        check_str "near-fill page read back" almost (Memory.read_bytes b (0x10000 + page) page);
+        check_str "parent page unchanged" (String.make page 'w')
+          (Memory.read_bytes a (0x10000 + page) page);
+        ignore (Memory.write_bytes b (0x10000 + page) (String.make page 'z'));
+        check_str "refilled page" (String.make page 'z') (Memory.read_bytes b (0x10000 + page) page);
+        check_str "parent still filled" ws (Memory.read_bytes a 0x10000 (64 * page))) ]
 
 (* COW invariant: after sharing and arbitrary writes on both sides,
    each side reads back exactly what it last wrote. *)

@@ -70,10 +70,8 @@ let pid_tests =
         expect_exit g;
         expect_console_contains "grandchild pid" g);
     case "pid_batch=1 still works (every fork hits the leader)" (fun () ->
-        let cfg = Config.default () in
-        cfg.Config.pid_batch <- 1;
         let g =
-          run_prog ~cfg
+          run_prog ~cfg:{ (Config.default ()) with Config.pid_batch = 1 }
             (p "/bin/t"
                (let_ "a" (sys "fork" [])
                   (if_ (v "a" =% int 0) die
@@ -273,11 +271,8 @@ let ablation_tests =
           in
           Option.get ns
         in
-        let fast = Config.default () in
-        fast.Config.migrate_ownership <- false;
-        let slow = Config.default () in
-        slow.Config.async_send <- false;
-        slow.Config.migrate_ownership <- false;
+        let fast = { (Config.default ()) with Config.migrate_ownership = false } in
+        let slow = { fast with Config.async_send = false } in
         let t_async = timed fast and t_sync = timed slow in
         if not (t_async * 2 < t_sync) then
           Alcotest.failf "async %d ns not ~faster than sync %d ns" t_async t_sync);
@@ -315,10 +310,8 @@ let ablation_tests =
           in
           Option.get ns
         in
-        let on = Config.default () in
-        let off = Config.default () in
-        off.Config.migrate_ownership <- false;
-        let t_on = timed on and t_off = timed off in
+        let t_on = timed (Config.default ())
+        and t_off = timed { (Config.default ()) with Config.migrate_ownership = false } in
         (* the paper reports ~10x; require at least 3x in the small run *)
         if not (t_on * 3 < t_off) then
           Alcotest.failf "migration %d ns not ~faster than remote %d ns" t_on t_off) ]

@@ -3,15 +3,14 @@
     The ring: completions arrive in submission order, a per-op failure
     never aborts the batch, a crash-call fault lands on an individual
     entry (completions before it stand, later entries never run), and
-    turning the knob off executes the same batch as individual PAL
-    calls with identical results. The vDSO page: identity and time
-    syscalls are served from the published page, a fork child gets a
-    fresh page (never the parent's identity), and turning the knob off
-    changes no guest-visible result. Everything is deterministic at a
-    fixed seed. *)
+    every batch answers what native Linux answers running each entry
+    as its own call. The vDSO page: identity and time syscalls are
+    served from the published page, a fork child gets a fresh page
+    (never the parent's identity), and a revoked page falls back to
+    the PAL time query and is republished, never read stale.
+    Everything is deterministic at a fixed seed. *)
 
 open Util
-module Config = Graphene_ipc.Config
 module Obs = Graphene_obs.Obs
 module Invariant = Graphene_obs.Invariant
 module Fault = Graphene_sim.Fault
@@ -23,10 +22,10 @@ let sayn e = sys "print" [ e ^% str "\n" ]
 let die = sys "exit" [ int 0 ]
 
 (* Run a program with tracing on; return (run, tracer). *)
-let traced ?cfg ?faults ?(seed = 11) prog_ =
+let traced ?stack ?faults ?(seed = 11) prog_ =
   let tracer = ref None in
   let r =
-    run_prog ?cfg ?faults ~seed
+    run_prog ?stack ?faults ~seed
       ~setup:(fun w ->
         Obs.enable (W.tracer w);
         tracer := Some (W.tracer w))
@@ -171,23 +170,41 @@ let test_partial_drain () =
   check_bool "some crash point hits mid-batch" true
     (List.exists (fun l -> l > 0 && l < 6) !prefix_lens)
 
-(* {1 Knob off: inert}
+(* {1 Linux is the oracle}
 
-   cfg.ring = false runs the same batch as individual PAL calls:
-   byte-identical console, zero ring submissions, fallback counted. *)
+   The native baseline runs each entry as its own host call. A batch
+   must answer the same on every stack, including one whose entries
+   all complete at submission — a console write, a bad descriptor and
+   a malformed entry — which finishes without crossing into the PAL. *)
 
-let test_ring_off_inert () =
-  let on, t_on = traced mixed_prog in
-  expect_exit on;
-  let off_cfg = Config.default () in
-  off_cfg.Config.ring <- false;
-  let off, t_off = traced ~cfg:off_cfg mixed_prog in
-  expect_exit off;
-  check_str "same console with the ring off" (on.out ()) (off.out ());
-  check_bool "ring-on crossed once" true (Obs.counter_value t_on "pal.ring.submits" >= 1);
-  check_int "ring-off never crossed" 0 (Obs.counter_value t_off "pal.ring.submits");
-  check_bool "ring-off took the fallback" true
-    (Obs.counter_value t_off "liblinux.ring.fallback" >= 1)
+let immediate_prog =
+  prog ~name:"/bin/ring_imm"
+    (let_ "res"
+       (sys "ring" [ list_ [ sq_write (int 1) (str "hi;"); sq_read (int 99) (int 4); str "junk" ] ])
+       (seq
+          [ say (str_of_int (nth (v "res") (int 0)));
+            say (str "|");
+            say (str_of_int (nth (v "res") (int 1)));
+            say (str "|");
+            say (str_of_int (nth (v "res") (int 2)));
+            die ]))
+
+let test_linux_oracle () =
+  List.iter
+    (fun (prog_, expected) ->
+      List.iter
+        (fun stack ->
+          let r = run_prog ~stack ~seed:11 prog_ in
+          expect_exit r;
+          check_str (W.stack_name stack) expected (r.out ()))
+        [ W.Linux; W.Graphene; W.Graphene_rm ])
+    [ (mixed_prog, mixed_expected); (errno_prog, "1|-9|1"); (immediate_prog, "hi;3|-9|-22") ];
+  List.iter
+    (fun stack ->
+      let _, t_mixed = traced ~stack mixed_prog and _, t_imm = traced ~stack immediate_prog in
+      check_int "one crossing for the mixed batch" 1 (Obs.counter_value t_mixed "pal.ring.submits");
+      check_int "no crossing for the immediate batch" 0 (Obs.counter_value t_imm "pal.ring.submits"))
+    [ W.Graphene; W.Graphene_rm ]
 
 (* {1 Same seed, byte-identical}
 
@@ -243,24 +260,68 @@ let test_vdso_fork_identity () =
   check_bool "fast path taken" true (Obs.counter_value tracer "liblinux.vdso.hit" >= 1);
   check_int "no invariant violations" 0 (Invariant.total (W.invariants r.w))
 
-(* {1 vDSO knob off: inert} *)
+(* {1 vDSO page: a revoked page is never read}
 
-let test_vdso_off_inert () =
-  let on, _ = traced vdso_fork_prog in
-  expect_exit on;
-  let off_cfg = Config.default () in
-  off_cfg.Config.vdso <- false;
-  let off, t_off = traced ~cfg:off_cfg vdso_fork_prog in
-  expect_exit off;
-  check_str "same console with the page off" (on.out ()) (off.out ());
-  check_int "no page reads" 0 (Obs.counter_value t_off "liblinux.vdso.hit");
-  check_int "no page published" 0 (Obs.counter_value t_off "liblinux.vdso.publish")
+   The page is revoked while the guest sleeps between two
+   gettimeofday calls. The second call must miss, answer from the PAL
+   time query (no earlier than the first value plus the sleep) and
+   republish; the third reads the fresh page and never goes back. *)
+
+let sleep_ns = 1_000_000
+
+let vdso_stale_prog =
+  prog ~name:"/bin/vdso_stale"
+    (let_ "t0"
+       (sys "gettimeofday" [])
+       (seq
+          [ sayn (str "sleeping");
+            sys "nanosleep" [ int sleep_ns ];
+            let_ "t1"
+              (sys "gettimeofday" [])
+              (let_ "t2"
+                 (sys "gettimeofday" [])
+                 (seq
+                    [ sayn (str_of_int (v "t0") ^% str " " ^% str_of_int (v "t1") ^% str " "
+                            ^% str_of_int (v "t2"));
+                      die ])) ]))
+
+let test_vdso_stale_page () =
+  let proc = ref None in
+  let revoke w s =
+    if s = "sleeping\n" then
+      K.after (W.kernel w) (T.ns (sleep_ns / 2)) (fun () ->
+          K.vdso_page_invalidate (W.kernel w) ~host_pid:(W.pico (Option.get !proc)).K.pid)
+  in
+  let w = W.create ~seed:11 W.Graphene in
+  Obs.enable (W.tracer w);
+  Loader.install (W.kernel w).K.fs ~path:"/bin/vdso_stale" vdso_stale_prog;
+  let agg = Buffer.create 64 in
+  let p =
+    W.start w ~exe:"/bin/vdso_stale" ~argv:[]
+      ~console_hook:(fun s ->
+        Buffer.add_string agg s;
+        revoke w s)
+      ()
+  in
+  proc := Some p;
+  W.run w;
+  check_bool "exited" true (W.exited p);
+  let t0, t1, t2 =
+    match String.split_on_char '\n' (Buffer.contents agg) with
+    | [ "sleeping"; times; "" ] -> Scanf.sscanf times "%d %d %d" (fun a b c -> (a, b, c))
+    | _ -> Alcotest.failf "console %S" (Buffer.contents agg)
+  in
+  check_bool "second read is after the sleep" true (t1 >= t0 + sleep_ns);
+  check_bool "third read never goes back" true (t2 >= t1);
+  check_int "one miss" 1 (Obs.counter_value (W.tracer w) "liblinux.vdso.miss");
+  check_int "published at boot and after the miss" 2
+    (Obs.counter_value (W.tracer w) "liblinux.vdso.publish")
 
 let suite =
   [ case "completions in submission order" test_ordering;
     case "per-op errno, batch keeps draining" test_per_op_errno;
     case "crash-call fault: partial drain, run drains" test_partial_drain;
-    case "ring off: identical results, no crossings" test_ring_off_inert;
+    case "Linux is the oracle, immediate batches never cross" test_linux_oracle;
     case "same seed, byte-identical" test_determinism;
     case "vDSO: fork child gets its own page" test_vdso_fork_identity;
-    case "vDSO off: identical results" test_vdso_off_inert ]
+    case "vDSO: a revoked page is never read" test_vdso_stale_page ]

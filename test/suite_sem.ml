@@ -104,10 +104,8 @@ let test_fifo_matches_slow_path () =
     expect_exit r;
     wake_order (r.out ())
   in
-  let off = Config.default () in
-  off.Config.sem_fastpath <- false;
   check_bool "fastpath preserves slow-path wake order" true
-    (order None = order (Some off))
+    (order None = order (Some { (Config.default ()) with Config.sem_fastpath = false }))
 
 (* {1 IPC_NOWAIT trylock}
 
